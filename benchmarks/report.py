@@ -21,9 +21,9 @@ own counters (events/packet, heap pushes/packet, peak heap size,
 cancelled-backlog high-water mark) plus wall us/packet, and the ratios
 against the pinned pre-overhaul engine (``PRE_PR_EVENTLOOP``).
 
-A fourth file, ``BENCH_batch.json``, records the batched-packet-path
-section: each fig5 saturated cell run under the per-packet engine
-(``batch=1``) and the unbounded batched engine, measured *interleaved*
+A fourth file, ``BENCH_batch.json``, records the drain-limit section:
+each fig5 saturated cell run at drain limit 1 (every delivered packet
+its own heap event) and at the unbounded default, measured *interleaved*
 with the per-engine minimum reported (robust to background load), plus
 the speedup against the committed pre-batching ``BENCH_eventloop.json``
 reference clocks (``REFERENCE_UNBATCHED``).
@@ -60,7 +60,8 @@ big committed run (10^5 aggregates over 100 shards) which ``--check``
 consistency-checks but does not re-run; regenerate it with
 ``--fleet-headline``.
 
-``--check`` runs only those sections and exits non-zero if (a)
+``--check`` runs only those sections, writes none of their JSON files
+(plain ``report.py`` regenerates them), and exits non-zero if (a)
 seconds/packet at N=1000 exceeds ``--check-multiple`` (default 3.0)
 times the N=10 value, or N=10000 exceeds the same multiple of N=100 —
 the guard for the virtual-time drain staying O(log N) — or the churn
@@ -169,7 +170,7 @@ PRE_PR_EVENTLOOP = {
 #: packet path, measured on the reference dev box with the then-current
 #: per-packet delivery engine.  The batch section's headline speedup is
 #: computed against these clocks (the "47 us/pkt" the batching work set
-#: out to halve); the same-machine batch=1 ratio is reported alongside
+#: out to halve); the same-machine drain-limit-1 ratio is reported alongside
 #: so a faster or slower box is visible rather than silently flattering
 #: the ratio.
 REFERENCE_UNBATCHED = {
@@ -422,14 +423,18 @@ def check_eventloop(section: dict, *, min_speedup: float = 1.3) -> list[str]:
 
 
 def batch_section(rounds: int) -> dict:
-    """Batched vs per-packet delivery on the fig5 saturated cells.
+    """Drain limit 1 vs the unbounded default on the fig5 saturated cells.
 
-    Wall-clock cells are load-sensitive (the same code can vary tens of
-    percent under background load), so the two engines are measured
-    interleaved — ``batch=1`` then unbounded, ``rounds`` times — and the
-    per-engine *minimum* is reported: the minimum is the estimator least
-    disturbed by load spikes, and interleaving ensures both engines see
-    the same load profile.
+    Drain limit 1 makes every delivered packet its own heap event; the
+    default delivers same-instant packets and advances the clock inline
+    from one drain event.  Wall-clock cells are load-sensitive (the same
+    code can vary tens of percent under background load), so the two
+    limits are measured interleaved — drain limit 1 then unbounded,
+    ``rounds`` times — and the per-limit *minimum* is reported: the
+    minimum is the estimator least disturbed by load spikes, and
+    interleaving ensures both limits see the same load profile.  (The
+    ``us_per_packet_batch1`` key is the drain-limit-1 side; the key
+    names match the committed ``BENCH_batch.json``.)
     """
     schemes = {}
     for scheme in bench_sim_core.EVENTLOOP_SCHEMES:
@@ -472,7 +477,7 @@ def check_batch(
     min_speedup: float = 2.0,
     bcpqp_max_us: float = BATCH_BCPQP_US_MAX,
 ) -> list[str]:
-    """Acceptance gates for the batched packet path (reference-machine
+    """Acceptance gates for the packet path (reference-machine
     wall clocks): bcpqp must be >= ``min_speedup`` x faster than the
     committed pre-batching reference *and* under the absolute
     ``bcpqp_max_us`` ceiling.  Byte-identity between the engines is
@@ -918,7 +923,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--batch-output",
         default=str(Path(__file__).parent / "BENCH_batch.json"),
-        help="where to write the batched-packet-path-section JSON",
+        help="where to write the drain-limit-section JSON",
     )
     parser.add_argument(
         "--impair-output",
@@ -948,10 +953,11 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="run only the scaling sweep, event-engine, batch, impair "
-        "and fleet sections; fail if seconds/packet at N=1000 exceeds "
+        help="run only the scaling sweep, event-engine, batch, impair, "
+        "churn and fleet sections without rewriting their committed JSON "
+        "(run without --check to regenerate it); fail if seconds/packet at N=1000 exceeds "
         "--check-multiple times the N=10 value or any event-engine, "
-        "batch, impair or fleet gate regresses",
+        "batch, impair, churn or fleet gate regresses",
     )
     parser.add_argument(
         "--check-multiple", type=float, default=3.0,
@@ -973,28 +979,24 @@ def main(argv: list[str] | None = None) -> None:
         parser.error("--check-min-efficiency must be positive")
 
     if args.check:
+        # Gate against the committed reference constants without touching
+        # the committed BENCH_*.json files.
         scaling = scaling_section(args.rounds)
-        _write_scaling(args.scaling_output, args.rounds, scaling)
         _print_scaling(scaling)
         failures = check_scaling(scaling, args.check_multiple)
         eventloop = eventloop_section()
-        _write_eventloop(args.eventloop_output, eventloop)
         _print_eventloop(eventloop)
         failures += check_eventloop(eventloop)
         batch = batch_section(args.rounds)
-        _write_batch(args.batch_output, batch)
         _print_batch(batch)
         failures += check_batch(batch, min_speedup=args.check_min_speedup)
         impair = impair_section(args.rounds)
-        _write_impair(args.impair_output, impair)
         _print_impair(impair)
         failures += check_impair(impair)
         churn = churn_section(args.rounds)
-        _write_churn(args.churn_output, churn)
         _print_churn(churn)
         failures += check_churn(churn)
         fleet = fleet_section(headline=_fleet_headline(args))
-        _write_fleet(args.fleet_output, fleet)
         _print_fleet(fleet)
         failures += check_fleet(
             fleet, min_efficiency=args.check_min_efficiency
@@ -1182,8 +1184,8 @@ def _print_batch(section: dict) -> None:
     for scheme, cell in section["schemes"].items():
         print(
             f"  batch      {scheme:8s} "
-            f"batch=1 {cell['us_per_packet_batch1']:7.2f} us/pkt  "
-            f"batched {cell['us_per_packet_batched']:7.2f} us/pkt  "
+            f"drain limit 1 {cell['us_per_packet_batch1']:7.2f} us/pkt  "
+            f"unbounded {cell['us_per_packet_batched']:7.2f} us/pkt  "
             f"vs-ref {cell['speedup_vs_reference']:5.2f}x  "
             f"same-box {cell['speedup_same_machine']:5.2f}x"
         )

@@ -17,7 +17,7 @@ class AckSample:
     """What the sender learned from one cumulative ACK.
 
     The sample is consumed synchronously inside
-    :meth:`CongestionControl.on_ack`; the sender's fused ACK path reuses
+    :meth:`CongestionControl.on_ack`; the sender's ACK path reuses
     one scratch instance across ACKs, so controllers must not retain a
     reference past the call (copy the fields out if needed).
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 from repro.cc.base import AckSample, CongestionControl
 from repro.net.packet import FlowId, Packet, PacketKind, _packet_ids
-from repro.net.sink import PacketSink, batch_capable
+from repro.net.sink import PacketSink
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
 from repro.units import MSS
@@ -134,29 +134,15 @@ class TcpSender:
         self._next_send_time = 0.0
         self._pacing_timer = Timer(sim, self._on_pacing_timer)
 
-        # Batched-engine fast path: the fused ACK/send loops below are
-        # exact transcriptions of _process_ack/_try_send (same float ops,
-        # same seq reservations) with the helper calls inlined.  The
-        # legacy per-packet engine (batch_limit=1) keeps routing through
-        # the original methods so batched-vs-unbatched benchmarks compare
-        # against unmodified code.
-        self._fast = sim.batch_limit != 1
-        #: Lazily latched by :meth:`_fast_path_ok` on first ACK/timer:
-        #: ``None`` = undecided, then True/False for the session.
-        self._fast_state: bool | None = None
         self._needs_rate = cc.needs_rate_samples
         #: Whether the controller overrides pacing_rate (the base returns
-        #: None unconditionally, so the fast path can skip the call).
+        #: None unconditionally, so the send body can skip the call).
         self._cc_paces = (
             type(cc).pacing_rate is not CongestionControl.pacing_rate
         )
-        #: Batched-engine egress entry: the pipe's fused single-packet
-        #: receive when it has one, else the plain receive.
-        self._egress_fast = getattr(egress, "receive_fast", egress.receive)
-        #: Scratch sample reused by the fused ACK path — controllers
-        #: consume samples synchronously (AckSample's contract), so one
-        #: mutable instance per sender avoids a dataclass construction
-        #: per ACK.  The legacy path keeps building fresh samples.
+        #: Scratch sample reused for every ACK — controllers consume
+        #: samples synchronously (AckSample's contract), so one mutable
+        #: instance per sender avoids a dataclass construction per ACK.
         self._ack_scratch = AckSample(
             newly_acked=0, rtt=None, delivery_rate=None, inflight=0.0, now=0.0
         )
@@ -234,83 +220,28 @@ class TcpSender:
         A corrupted ACK (failed checksum, see :mod:`repro.net.impair`)
         is dropped — recycled but never processed.
         """
-        if not packet.is_ack:
+        if packet.kind is not PacketKind.ACK:
             return
         try:
             if packet.corrupt:
                 self.corrupt_acks_dropped += 1
-            elif not self.done:
+            elif self.completed_at is None:
                 self._process_ack(packet)
         finally:
             Packet.recycle_ack(packet)
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Process a same-instant batch of ACKs.
+    def _process_ack(self, packet: Packet) -> None:
+        """Process one ACK: ECN echo, SACK merge, cumulative advance, RTT
+        and RTO update, controller feedback, timer rearms, loss detection
+        and the PRR budget, then a send attempt.
 
-        Each ACK is still processed *fully* (bookkeeping **and** the send
-        attempt) before the next: transmissions, pacing updates and timer
-        rearms all consume simulator seqs, so deferring any of them to a
-        per-batch pass would change the unbatched engine's seq
-        assignment.  The batch win here is the hoisted kind/done checks,
-        the single entry call per batch, and recycling the consumed ACKs
-        batch-at-a-time.  The per-ACK timer rearms only rewrite the
-        soft-reschedule deadline (two int/float stores); the heap wake is
-        already amortized to at most one push per batch by the Timer.
-        """
-        if not self.done:
-            fast = self._fast_state
-            if fast is None:
-                fast = self._fast_state = self._fast_path_ok()
-            process = self._ack_fast if fast else self._process_ack
-            for packet in packets:
-                if packet.kind is PacketKind.ACK:
-                    if packet.corrupt:
-                        self.corrupt_acks_dropped += 1
-                        continue
-                    process(packet)
-                    if self.completed_at is not None:
-                        break
-        Packet.recycle_acks(packets)
-
-    def _fast_path_ok(self) -> bool:
-        """Whether the fused transcriptions (:meth:`_ack_fast` /
-        :meth:`_try_send_fast`) may run.  Latched on first use: they
-        inline the bodies of the legacy reference methods, so any
-        instance- or subclass-level override of those (tests hook
-        ``_transmit``; the validator substitutes ``_process_ack``) must
-        route through the overridable per-packet path instead.
-        """
-        if not self._fast:
-            return False
-        cls = type(self)
-        d = self.__dict__
-        for name in (
-            "_transmit",
-            "_try_send",
-            "_process_ack",
-            "_advance_una",
-            "_update_rto",
-            "_detect_losses",
-            "_arm_pacing_timer",
-        ):
-            if getattr(cls, name) is not getattr(TcpSender, name):
-                return False
-            if name in d:
-                return False
-        return True
-
-    def _ack_fast(self, packet: Packet) -> None:
-        """Fused ACK processing for the batched engine.
-
-        A line-for-line transcription of :meth:`_process_ack` with the
-        per-ACK helper calls (``_advance_una``, ``_update_rto``, the
-        ``inflight`` property, the timer rearms, ``_detect_losses``'s
-        no-loss case) inlined in restricted, compilable style: flat
-        locals, no closures, branches instead of ``min``/``max`` calls.
-        Every simulator seq reservation and every float operation happens
-        in the original order, so the two paths are bit-identical; the
-        original methods are the executable reference and take over
-        whenever the scoreboard is non-trivial.
+        The common case is flattened: with an empty scoreboard the
+        cumulative advance, the RTO update, the timer rearms and the
+        no-loss probe of :meth:`_detect_losses` run inline (flat locals,
+        branches instead of ``min``/``max`` calls), while a non-trivial
+        scoreboard goes through :meth:`_advance_una` and
+        :meth:`_detect_losses`.  Simulator seqs are reserved in the same
+        order either way.
         """
         sim = self._sim
         now = sim._now
@@ -416,9 +347,13 @@ class TcpSender:
                 self._complete(now)
                 return
         if (ack > old_una or newly_sacked > 0) and self.snd_nxt > self.snd_una:
-            # _restart_rto_timer + _rearm_tlp_timer: soft-reschedule
-            # deadline writes, each reserving the seq the cancel+push
-            # engine would have consumed (see repro.sim.timer).
+            # Forward progress (cumulative or SACK): the connection is not
+            # stalled, so push the retransmission timer out (Linux rearms
+            # the RTO on any ACK that advances the scoreboard — otherwise
+            # a long SACK-paced recovery gets nuked by a spurious RTO).
+            # _restart_rto_timer + _rearm_tlp_timer inlined: soft-
+            # reschedule deadline writes, each reserving the seq the
+            # cancel+push engine would have consumed (see repro.sim.timer).
             timer = self._rto_timer
             seq = sim._seq
             sim._seq = seq + 1
@@ -487,6 +422,9 @@ class TcpSender:
         else:
             self._detect_losses(now)
         if self._in_recovery:
+            # PRR: clock transmissions to deliveries; the +1 below is the
+            # slow-start reduction bound (grow the pipe back toward cwnd
+            # when it fell under it, e.g. after losing a whole flight).
             if delivered_this_ack > 0:
                 self._recovery_budget += delivered_this_ack
             pipe = (
@@ -499,11 +437,12 @@ class TcpSender:
                 pipe = 0
             if pipe < self.cc.cwnd:
                 self._recovery_budget += 1
-        self._try_send_fast(now)
+        self._try_send(now)
 
-    def _try_send_fast(self, now: float) -> None:
-        """Fused :meth:`_try_send` for the batched engine: same decision
-        sequence, same seq reservations, helper calls inlined."""
+    def _try_send(self, now: float) -> None:
+        """Send while the window, the PRR budget and pacing allow:
+        retransmit the lowest lost seq first, else new data, through
+        :meth:`_transmit`.  The pacing-timer arming runs inline."""
         if self.completed_at is not None or not self.started:
             return
         cc = self.cc
@@ -522,7 +461,7 @@ class TcpSender:
         lost_heap = self._lost_heap
         total = self._total
         while True:
-            # _next_lost inlined.
+            # Lowest lost seq still outstanding (stale heap heads pop).
             retx_seq = None
             while lost_heap:
                 head = lost_heap[0]
@@ -544,8 +483,8 @@ class TcpSender:
             if rate is not None:
                 nst = self._next_send_time
                 if now < nst - 1e-12:
-                    # _arm_pacing_timer inlined: now < nst so the
-                    # schedule_at target is nst itself.
+                    # Arm the pacing timer for nst (a soft-reschedule
+                    # deadline write; see repro.sim.timer).
                     timer = self._pacing_timer
                     if timer._deadline is None:
                         seq = sim._seq
@@ -574,109 +513,11 @@ class TcpSender:
                 seq = snd_nxt
                 self.snd_nxt = seq + 1
                 retransmit = False
-            # _transmit inlined, including the Packet.data pool draw
-            # (same stores, same uid draw, no classmethod/kwargs call).
-            self.packets_sent += 1
-            self._send_info[seq] = (
-                now,
-                self._delivered,
-                self._delivered_time,
-                retransmit,
-            )
-            pool = Packet._data_pool
-            if pool:
-                pkt = pool.pop()
-                pkt._in_pool = False
-                pkt.generation += 1
-                pkt.flow = self.flow
-                pkt.seq = seq
-                pkt.size = self._mss
-                pkt.sent_at = now
-                pkt.retransmit = retransmit
-                pkt.ecn_capable = self.ecn
-                pkt.ce = False
-                pkt.corrupt = False
-                pkt.uid = next(_packet_ids)
-            else:
-                pkt = Packet.data(
-                    self.flow,
-                    seq,
-                    now,
-                    size=self._mss,
-                    retransmit=retransmit,
-                    ecn_capable=self.ecn,
-                )
-            self._egress_fast(pkt)
+            self._transmit(seq, now, retransmit)
             if self._rto_timer._deadline is None:
                 self._restart_rto_timer()
             if self._tlp_timer._deadline is None:
                 self._rearm_tlp_timer()
-
-    def _process_ack(self, packet: Packet) -> None:
-        now = self._sim.now
-        ack = packet.ack_next
-        old_una = self.snd_una
-
-        if (
-            self.ecn
-            and packet.ecn_echo
-            and self.snd_una >= self._ecn_cwr_point
-            and not self._in_recovery
-        ):
-            self._ecn_cwr_point = self.snd_nxt
-            self.ecn_reductions += 1
-            self.cc.on_loss_event(now, self.inflight)
-
-        newly_sacked = self._apply_sack(packet.sack)
-        delivered_this_ack = newly_sacked
-
-        if ack > self.snd_una:
-            self._advance_una(ack)
-            rtt_sample: float | None = None
-            if not packet.echo_retransmit and packet.echo_ts > 0:
-                rtt_sample = max(now - packet.echo_ts, 1e-9)
-                self._update_rto(rtt_sample)
-            newly = self._newly_acked
-            delivered_this_ack += newly
-            self._delivered += newly
-            self._delivered_time = now
-            delivery_rate = self._take_rate_sample(ack, now)
-
-            if self._in_recovery and ack >= self._recover_point:
-                self._in_recovery = False
-                self._recovery_budget = 0.0
-                self._retx_out.clear()
-                self.cc.on_recovery_exit(now)
-            if not self._in_recovery:
-                self.cc.on_ack(
-                    AckSample(
-                        newly_acked=newly,
-                        rtt=rtt_sample,
-                        delivery_rate=delivery_rate,
-                        inflight=self.inflight,
-                        now=now,
-                    )
-                )
-            if self._total is not None and self.snd_una >= self._total:
-                self._complete(now)
-                return
-        if (ack > old_una or newly_sacked > 0) and self.snd_nxt > self.snd_una:
-            # Forward progress (cumulative or SACK): the connection is not
-            # stalled, so push the retransmission timer out (Linux rearms
-            # the RTO on any ACK that advances the scoreboard — otherwise
-            # a long SACK-paced recovery gets nuked by a spurious RTO).
-            self._restart_rto_timer()
-            self._rearm_tlp_timer()
-
-        self._detect_losses(now)
-        if self._in_recovery:
-            # PRR: clock transmissions to deliveries; the +1 below is the
-            # slow-start reduction bound (grow the pipe back toward cwnd
-            # when it fell under it, e.g. after losing a whole flight).
-            self._recovery_budget += max(delivered_this_ack, 0)
-            if self.inflight < self.cc.cwnd:
-                self._recovery_budget += 1
-        self._try_send()
 
     def _advance_una(self, ack: int) -> None:
         """Move ``snd_una`` to ``ack`` and prune scoreboard state below."""
@@ -817,62 +658,15 @@ class TcpSender:
 
     def _start(self) -> None:
         self.started = True
-        self._next_send_time = self._sim.now
-        self._try_send()
-
-    def _next_lost(self) -> int | None:
-        heap = self._lost_heap
-        while heap:
-            seq = heap[0]
-            if seq in self._lost_set and seq >= self.snd_una:
-                return seq
-            heapq.heappop(heap)
-        return None
-
-    def _try_send(self) -> None:
-        if self.done or not self.started:
-            return
         now = self._sim.now
-        rate = self.cc.pacing_rate(now)
-        if rate is None and self._srtt is not None:
-            # Linux-style internal pacing: spread the window over the RTT.
-            ratio = _PACING_SS_RATIO if self.cc.in_slow_start else _PACING_CA_RATIO
-            rate = max(ratio * self.cc.cwnd / self._srtt, 1.0)
-        while True:
-            retx_seq = self._next_lost()
-            if retx_seq is None and not self._may_send_new():
-                return
-            if self.inflight + 1 > self.cc.cwnd:
-                return
-            if self._in_recovery and self._recovery_budget < 1.0:
-                return
-            if rate is not None:
-                if now < self._next_send_time - 1e-12:
-                    self._arm_pacing_timer()
-                    return
-                self._next_send_time = max(self._next_send_time, now) + 1.0 / rate
-            if self._in_recovery:
-                self._recovery_budget -= 1.0
-            if retx_seq is not None:
-                heapq.heappop(self._lost_heap)
-                self._lost_set.discard(retx_seq)
-                self._retx_out[retx_seq] = now
-                self.retransmits += 1
-                self._transmit(retx_seq, retransmit=True)
-            else:
-                seq = self.snd_nxt
-                self.snd_nxt += 1
-                self._transmit(seq, retransmit=False)
-            if not self._rto_timer.active:
-                self._restart_rto_timer()
-            if not self._tlp_timer.active:
-                self._rearm_tlp_timer()
+        self._next_send_time = now
+        self._try_send(now)
 
-    def _may_send_new(self) -> bool:
-        return self._total is None or self.snd_nxt < self._total
-
-    def _transmit(self, seq: int, *, retransmit: bool) -> None:
-        now = self._sim.now
+    def _transmit(self, seq: int, now: float, retransmit: bool) -> None:
+        """Send DATA ``seq``: the one transmit body, shared by
+        :meth:`_try_send` and the loss probe."""
+        # The Packet.data pool draw is inlined (same stores, same uid
+        # draw, no classmethod/kwargs call).
         self.packets_sent += 1
         self._send_info[seq] = (
             now,
@@ -880,39 +674,39 @@ class TcpSender:
             self._delivered_time,
             retransmit,
         )
-        packet = Packet.data(
-            self.flow,
-            seq,
-            now,
-            size=self._mss,
-            retransmit=retransmit,
-            ecn_capable=self.ecn,
-        )
-        self._egress.receive(packet)
-
-    def _arm_pacing_timer(self) -> None:
-        if self._pacing_timer.active:
-            return
-        self._pacing_timer.schedule_at(
-            max(self._next_send_time, self._sim.now)
-        )
+        pool = Packet._data_pool
+        if pool:
+            pkt = pool.pop()
+            pkt._in_pool = False
+            pkt.generation += 1
+            pkt.flow = self.flow
+            pkt.seq = seq
+            pkt.size = self._mss
+            pkt.sent_at = now
+            pkt.retransmit = retransmit
+            pkt.ecn_capable = self.ecn
+            pkt.ce = False
+            pkt.corrupt = False
+            pkt.uid = next(_packet_ids)
+        else:
+            pkt = Packet.data(
+                self.flow,
+                seq,
+                now,
+                size=self._mss,
+                retransmit=retransmit,
+                ecn_capable=self.ecn,
+            )
+        self._egress.receive(pkt)
 
     def _on_pacing_timer(self) -> None:
-        fast = self._fast_state
-        if fast is None:
-            fast = self._fast_state = self._fast_path_ok()
-        if fast:
-            self._try_send_fast(self._sim._now)
-        else:
-            self._try_send()
+        self._try_send(self._sim._now)
 
     # ------------------------------------------------------------------
     # Delivery-rate sampling (BBR)
     # ------------------------------------------------------------------
 
     def _take_rate_sample(self, ack: int, now: float) -> float | None:
-        if not self.cc.needs_rate_samples:
-            return None
         info = self._send_info.get(ack - 1)
         if len(self._send_info) > 4 * max(int(self.cc.cwnd), 256):
             self._send_info = {
@@ -966,8 +760,9 @@ class TcpSender:
             return
         self.tlp_probes += 1
         self._lost_set.discard(probe)
-        self._retx_out[probe] = self._sim.now
-        self._transmit(probe, retransmit=True)
+        now = self._sim.now
+        self._retx_out[probe] = now
+        self._transmit(probe, now, True)
         # Give the probe a full RTO to report back before the backstop
         # fires (Linux rearms the retransmission timer at probe send).
         self._restart_rto_timer()
@@ -977,9 +772,6 @@ class TcpSender:
             self._rto_timer.schedule_after(self._rto)
         else:
             self._rto_timer.cancel()
-
-    def _cancel_rto_timer(self) -> None:
-        self._rto_timer.cancel()
 
     def _on_rto(self) -> None:
         if self.done or self.snd_nxt <= self.snd_una:
@@ -1001,7 +793,7 @@ class TcpSender:
                 self._lost_set.add(seq)
                 heapq.heappush(self._lost_heap, seq)
         self._restart_rto_timer()
-        self._try_send()
+        self._try_send(now)
 
     # ------------------------------------------------------------------
     # Completion
@@ -1035,13 +827,6 @@ class TcpReceiver:
     def __init__(self, sim: Simulator, ack_path: PacketSink) -> None:
         self._sim = sim
         self._ack_path = ack_path
-        self._ack_path_batch = batch_capable(ack_path)
-        #: Fused single-packet return entry (the pipe's ``receive_fast``
-        #: when it has one) for the demux singleton path.
-        self._ack_path_one = getattr(ack_path, "receive_fast", None)
-        if self._ack_path_one is None:
-            self._ack_path_one = ack_path.receive
-        self._ack_scratch: list[Packet] = []
         self.rcv_nxt = 0
         self._ranges: list[list[int]] = []  # disjoint, sorted [start, end)
         self.data_packets = 0
@@ -1055,128 +840,19 @@ class TcpReceiver:
         return tuple((r[0], r[1]) for r in self._ranges)
 
     def receive(self, packet: Packet) -> None:
-        if not packet.is_data:
-            return
-        if packet.corrupt:
-            # Failed checksum: drop without acknowledging.  The receiver
-            # is the terminal consumer either way, so the packet is
-            # recycled exactly once (the `_in_pool` latch).
-            self.corrupt_dropped += 1
-            Packet.recycle(packet)
-            return
-        self.data_packets += 1
-        self.data_bytes += packet.size
-        seq = packet.seq
-        if seq == self.rcv_nxt:
-            self.rcv_nxt += 1
-            if self._ranges and self._ranges[0][0] == self.rcv_nxt:
-                self.rcv_nxt = self._ranges.pop(0)[1]
-        elif seq > self.rcv_nxt:
-            self._insert(seq)
-        else:
-            self.duplicates += 1
-        ack = Packet.ack(
-            packet.flow,
-            self.rcv_nxt,
-            self._sim.now,
-            echo_ts=packet.sent_at,
-            echo_retransmit=packet.retransmit,
-            sack=self._sack_blocks(seq),
-            ecn_echo=packet.ce,
-        )
-        self._ack_path.receive(ack)
+        """Absorb a data packet and answer it with an ACK.
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Fused batch path: one pass over the data packets, ACKs
-        collected and handed to the return pipe in a single call.
-
-        Nothing between two ACK constructions consumes a simulator seq
-        or a packet uid in the unbatched engine (receiver bookkeeping is
-        pure), so creating the ACKs back-to-back and reserving their
-        return-pipe seqs consecutively reproduces the unbatched
-        assignment exactly.
-        """
-        acks = self._ack_scratch
-        acks.clear()
-        now = self._sim._now
-        make_ack = Packet.ack
-        ack_pool = Packet._ack_pool
-        append = acks.append
-        data_packets = 0
-        data_bytes = 0
-        for packet in packets:
-            if packet.kind is not PacketKind.DATA:
-                continue
-            if packet.corrupt:
-                # Dropped without an ACK; the end-of-loop recycle_data
-                # pass returns it to the pool with the rest of the batch.
-                self.corrupt_dropped += 1
-                continue
-            data_packets += 1
-            data_bytes += packet.size
-            seq = packet.seq
-            rcv_nxt = self.rcv_nxt
-            if seq == rcv_nxt:
-                rcv_nxt += 1
-                ranges = self._ranges
-                if ranges and ranges[0][0] == rcv_nxt:
-                    rcv_nxt = ranges.pop(0)[1]
-                self.rcv_nxt = rcv_nxt
-            elif seq > rcv_nxt:
-                self._insert(seq)
-            else:
-                self.duplicates += 1
-            sack = () if not self._ranges else self._sack_blocks(seq)
-            # Packet.ack pool draw inlined (same stores, same uid draw).
-            if ack_pool:
-                ackpkt = ack_pool.pop()
-                ackpkt._in_pool = False
-                ackpkt.generation += 1
-                ackpkt.flow = packet.flow
-                ackpkt.corrupt = False
-                ackpkt.sent_at = now
-                ackpkt.ack_next = self.rcv_nxt
-                ackpkt.echo_ts = packet.sent_at
-                ackpkt.echo_retransmit = packet.retransmit
-                ackpkt.ecn_echo = packet.ce
-                ackpkt.sack = sack
-                ackpkt.uid = next(_packet_ids)
-            else:
-                ackpkt = make_ack(
-                    packet.flow,
-                    self.rcv_nxt,
-                    now,
-                    echo_ts=packet.sent_at,
-                    echo_retransmit=packet.retransmit,
-                    sack=sack,
-                    ecn_echo=packet.ce,
-                )
-            append(ackpkt)
-        self.data_packets += data_packets
-        self.data_bytes += data_bytes
-        # The receiver is the terminal consumer of data packets (upstream
-        # components record scalars only), so the batch path returns them
-        # to the free list before forwarding the ACKs — the unbatched
-        # reference engine never reaches here, so its allocation pattern
-        # is untouched.
-        Packet.recycle_data(packets)
-        if acks:
-            self._ack_path_batch.receive_batch(acks)
-
-    def receive_one(self, packet: Packet) -> None:
-        """Fused single-packet path for demux singleton runs.
-
-        Same bookkeeping as :meth:`receive` with the common in-order case
-        flattened: the SACK scan is skipped while no out-of-order ranges
-        exist, the ACK rides the batch-capable return path (reserving the
-        exact seq ``receive`` would), and the consumed data packet is
-        recycled.  Only the batched engine routes here (via
-        :meth:`FlowDemux.receive_batch`), so the legacy engine keeps its
-        allocation pattern.
+        The receiver is the data packet's terminal consumer (upstream
+        components keep only scalar columns), so the packet returns to
+        the DATA free list here.  The in-order case is flattened: the
+        SACK scan is skipped while no out-of-order ranges exist, and the
+        ACK's pool draw is inlined (same stores, same uid draw as
+        :meth:`Packet.ack`).
         """
         if packet.kind is not PacketKind.DATA:
             return
         if packet.corrupt:
+            # Failed checksum: drop without acknowledging.
             self.corrupt_dropped += 1
             Packet.recycle(packet)
             return
@@ -1195,7 +871,6 @@ class TcpReceiver:
         else:
             self.duplicates += 1
         sack = () if not self._ranges else self._sack_blocks(seq)
-        # Packet.ack pool draw inlined (same stores, same uid draw).
         ack_pool = Packet._ack_pool
         if ack_pool:
             ack = ack_pool.pop()
@@ -1220,12 +895,8 @@ class TcpReceiver:
                 sack=sack,
                 ecn_echo=packet.ce,
             )
-        if not packet._in_pool:
-            pool = Packet._data_pool
-            if len(pool) < Packet._DATA_POOL_MAX:
-                packet._in_pool = True
-                pool.append(packet)
-        self._ack_path_one(ack)
+        Packet.recycle_data(packet)
+        self._ack_path.receive(ack)
 
     def _sack_blocks(self, seq: int) -> tuple[tuple[int, int], ...]:
         """Up to three SACK blocks, the one containing the segment that
@@ -1278,21 +949,15 @@ class FlowDemux:
 
     def __init__(self) -> None:
         self._sinks: dict[FlowId, PacketSink] = {}
-        #: Lazily-resolved single-packet dispatch per flow: the sink's
-        #: ``receive_one`` fast path when it has one, else its plain
-        #: ``receive``.  Invalidated on (re-)registration.
-        self._ones: dict[FlowId, Callable[[Packet], None]] = {}
         self.unroutable = 0
 
     def register(self, flow: FlowId, sink: PacketSink) -> None:
         """Route ``flow``'s packets to ``sink`` (later wins)."""
         self._sinks[flow] = sink
-        self._ones.pop(flow, None)
 
     def unregister(self, flow: FlowId) -> None:
         """Stop routing ``flow``; unknown flows are ignored."""
         self._sinks.pop(flow, None)
-        self._ones.pop(flow, None)
 
     def receive(self, packet: Packet) -> None:
         sink = self._sinks.get(packet.flow)
@@ -1300,38 +965,3 @@ class FlowDemux:
             self.unroutable += 1
             return
         sink.receive(packet)
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Route a same-instant batch, merging *consecutive* same-flow
-        runs into one sink call (merging across an unrelated packet would
-        reorder traversals the unbatched engine keeps in order)."""
-        sinks = self._sinks
-        ones = self._ones
-        n = len(packets)
-        i = 0
-        while i < n:
-            packet = packets[i]
-            flow = packet.flow
-            j = i + 1
-            while j < n and packets[j].flow == flow:
-                j += 1
-            sink = sinks.get(flow)
-            if sink is None:
-                self.unroutable += j - i
-            elif j - i == 1:
-                one = ones.get(flow)
-                if one is None:
-                    one = getattr(sink, "receive_one", None)
-                    if one is None:
-                        one = sink.receive
-                    ones[flow] = one
-                one(packet)
-            else:
-                batch = getattr(sink, "receive_batch", None)
-                if batch is not None:
-                    batch(packets[i:j])
-                else:
-                    receive = sink.receive
-                    for k in range(i, j):
-                        receive(packets[k])
-            i = j

@@ -134,10 +134,6 @@ class BCPQP(PQP):
         """
         return now - self._window_start[queue]
 
-    def _arrived(self, queue: int, packet: Packet, now: float) -> None:
-        self._maybe_roll_window(queue, now)
-        self._arrived_window[queue] += packet.size
-
     def _maybe_roll_window(self, queue: int, now: float) -> None:
         """Tumble the queue's window once it is a full period old, applying
         the lower-threshold (reclaim) check to the elapsed window.  Windows
@@ -161,128 +157,63 @@ class BCPQP(PQP):
         self._arrived_window[queue] = 0.0
         self.cost.charge(Op.ALU, 3)
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Fused batch entry point with the BC-PQP window hooks inlined.
+    def _on_packet(self, packet: Packet) -> None:
+        """PQP's decision with the burst-control window accounting
+        inlined.
 
-        The generic :meth:`PQP.receive_batch` would dispatch
-        ``_arrived``/``_accepted`` per packet; this override folds both
-        hooks (and ``_maybe_roll_window``) into the decision loop in
-        restricted compilable style — flat locals, branches instead of
-        ``max()``, cost charges accumulated and posted once.  Float
-        operations on the window state happen on the same values in the
-        same order as the per-packet hooks, and cost counts are
-        integer-valued (commutative), so the fused loop is
-        bit-identical to the unbatched path — which stays the executable
-        reference via ``_on_packet``.
+        An arrival first rolls its queue's window on the queue's own
+        clock (:meth:`_maybe_roll_window`) and counts toward the window's
+        arrivals.  An acceptance counts toward the window's accepted
+        bytes and applies the upper threshold: past
+        ``max(theta_plus x X_i, X_i + 2 MSS)`` the queue is filled with
+        magic bytes and its window restarts at the fill.
         """
-        n = len(packets)
-        stats = self.stats
-        stats.arrived_packets += n
-        queues = self.queues
-        queue_of = self._classifier.queue_of
-        advance = queues.advance
-        try_enqueue = queues.try_enqueue
-        fluid_rate_of = queues.fluid_rate_of
         now = self._sim._now
-        fraction = self._ecn_mark_fraction
-        period = self.period
-        theta_plus = self.theta_plus
-        theta_minus = self.theta_minus
-        accepted_window = self._accepted_window
-        arrived_window = self._arrived_window
-        window_start = self._window_start
-        accepted = self._accept_scratch
-        accepted.clear()
-        append = accepted.append
-        arrived_bytes = 0
-        alu = 0
-        drops = 0
-        drop_bytes = 0
-        for packet in packets:
-            size = packet.size
-            arrived_bytes += size
-            qi = queue_of(packet.flow)
-            before = queues.drain_recomputes
-            advance(now)
-            alu += 3 + 2 * (queues.drain_recomputes - before)
-            # _arrived: roll the window on the queue's own clock first.
-            elapsed = now - window_start[qi]
-            if elapsed >= period:
-                floor = theta_minus * fluid_rate_of(qi) * elapsed
-                if arrived_window[qi] < floor and queues.magic_bytes(qi) > 0:
-                    queues.reclaim_magic(qi)
-                    self.magic_reclaims += 1
-                window_start[qi] = now
-                accepted_window[qi] = 0.0
-                arrived_window[qi] = 0.0
-                alu += 3
-            arrived_window[qi] += size
-            if try_enqueue(qi, size):
-                # _accepted: upper-threshold (magic fill) check.
-                acc = accepted_window[qi] + size
-                accepted_window[qi] = acc
-                x_i = fluid_rate_of(qi) * period
-                alu += 3
-                ceiling = theta_plus * x_i
-                slack = x_i + _TWO_MSS
-                if ceiling < slack:
-                    ceiling = slack
-                if acc > ceiling:
-                    if queues.fill_with_magic(qi) > 0:
-                        self.magic_fills += 1
-                        alu += 2
-                    window_start[qi] = now
-                    accepted_window[qi] = 0.0
-                    arrived_window[qi] = 0.0
-                if (
-                    fraction is not None
-                    and packet.ecn_capable
-                    and queues.length(qi) > fraction * queues.capacity(qi)
-                ):
-                    packet.ce = True
-                    self.ecn_marked_packets += 1
-                append(packet)
-            else:
-                drops += 1
-                drop_bytes += size
-                per_queue = stats.per_queue_drops
-                per_queue[qi] = per_queue.get(qi, 0) + 1
-        stats.arrived_bytes += arrived_bytes
+        qi = self._classifier.queue_of(packet.flow)
+        queues = self.queues
+        before = queues.drain_recomputes
+        queues.advance(now)
+        alu = 3 + 2 * (queues.drain_recomputes - before)
+        if now - self._window_start[qi] >= self.period:
+            self._maybe_roll_window(qi, now)
+        size = packet.size
+        self._arrived_window[qi] += size
         cost = self.cost
-        cost.charge(Op.MAP, n)
-        cost.charge(Op.ALU, alu)
-        if drops:
-            stats.dropped_packets += drops
-            stats.dropped_bytes += drop_bytes
-        if accepted:
-            self._forward_batch(accepted)
-
-    # ------------------------------------------------------------------
-    # PQP hooks
-    # ------------------------------------------------------------------
-
-    def _accepted(self, queue: int, packet: Packet, now: float) -> None:
-        self._accepted_window[queue] += packet.size
-        # Estimate r*_i from the active set (the packet we just enqueued
-        # guarantees `queue` itself is active).
-        x_i = self.expected_window_bytes(queue)
-        self.cost.charge(Op.ALU, 3)
-        # Keep at least two packets of slack above the window budget so
-        # low-rate queues (X_i of a packet or two) don't trip on
-        # packetization granularity — the same reason token buckets are
-        # never sized below a couple of MTUs.
-        ceiling = max(self.theta_plus * x_i, x_i + 2.0 * MSS)
-        if self._accepted_window[queue] > ceiling:
-            added = self.queues.fill_with_magic(queue)
-            if added > 0:
-                self.magic_fills += 1
-                self.cost.charge(Op.ALU, 2)
-            # Restart this queue's window at the fill so the next lower-
-            # threshold check sees a full window of post-fill behaviour
-            # (the queue now admits exactly at its drain rate).
-            self._window_start[queue] = now
-            self._accepted_window[queue] = 0.0
-            self._arrived_window[queue] = 0.0
+        cost.charge(Op.MAP, 1)
+        if queues.try_enqueue(qi, size):
+            accepted_window = self._accepted_window
+            accepted = accepted_window[qi] + size
+            accepted_window[qi] = accepted
+            # X_i = r*_i x T from the active set (the packet just
+            # enqueued guarantees this queue is active).
+            x_i = queues.fluid_rate_of(qi) * self.period
+            alu += 3
+            # Keep at least two packets of slack above the window budget
+            # so low-rate queues (X_i of a packet or two) don't trip on
+            # packetization granularity — the same reason token buckets
+            # are never sized below a couple of MTUs.
+            ceiling = self.theta_plus * x_i
+            slack = x_i + _TWO_MSS
+            if ceiling < slack:
+                ceiling = slack
+            if accepted > ceiling:
+                if queues.fill_with_magic(qi) > 0:
+                    self.magic_fills += 1
+                    alu += 2
+                # Restart this queue's window at the fill so the next
+                # lower-threshold check sees a full window of post-fill
+                # behaviour (the queue now admits exactly at its drain
+                # rate).
+                self._window_start[qi] = now
+                accepted_window[qi] = 0.0
+                self._arrived_window[qi] = 0.0
+            cost.charge(Op.ALU, alu)
+            if self._ecn_mark_fraction is not None:
+                self._mark_ecn(qi, packet)
+            self._forward(packet)
+        else:
+            cost.charge(Op.ALU, alu)
+            self._drop(packet, queue=qi)
 
     def _on_window_sweep(self) -> None:
         now = self._sim.now

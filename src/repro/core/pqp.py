@@ -183,103 +183,34 @@ class PQP(RateLimiter):
         del now
 
     def _on_packet(self, packet: Packet) -> None:
-        now = self._sim.now
+        now = self._sim._now
         qi = self._classifier.queue_of(packet.flow)
-        self.cost.charge(Op.MAP, 1)  # classification
-        before = self.queues.drain_recomputes
-        self.queues.advance(now)
-        # Counter updates: lazy drain recomputes (amortized) + occupancy
-        # check + enqueue increment.  All cache-resident counters.
-        # ``drain_recomputes`` counts the *paper's* per-packet drain work
-        # (linear pieces / phantom dequeues), which every service
-        # discipline reports identically — the modeled cost is pinned to
-        # the mechanism, not to how much Python bookkeeping the optimized
-        # engines skip (see repro.limiters.costs).
-        self.cost.charge(Op.ALU, 3 + 2 * (self.queues.drain_recomputes - before))
-        self._arrived(qi, packet, now)
-        if self.queues.try_enqueue(qi, packet.size):
-            self._accepted(qi, packet, now)
-            if (
-                self._ecn_mark_fraction is not None
-                and packet.ecn_capable
-                and self.queues.length(qi)
-                > self._ecn_mark_fraction * self.queues.capacity(qi)
-            ):
-                packet.ce = True
-                self.ecn_marked_packets += 1
+        queues = self.queues
+        before = queues.drain_recomputes
+        queues.advance(now)
+        # Classification is one flow-table lookup; the counter updates
+        # are the lazy drain recomputes (amortized) + occupancy check +
+        # enqueue increment, all cache-resident.  ``drain_recomputes``
+        # counts the *paper's* per-packet drain work (linear pieces /
+        # phantom dequeues), which every service discipline reports
+        # identically — the modeled cost is pinned to the mechanism, not
+        # to how much Python bookkeeping the optimized engines skip (see
+        # repro.limiters.costs).
+        cost = self.cost
+        cost.charge(Op.MAP, 1)
+        cost.charge(Op.ALU, 3 + 2 * (queues.drain_recomputes - before))
+        if queues.try_enqueue(qi, packet.size):
+            if self._ecn_mark_fraction is not None:
+                self._mark_ecn(qi, packet)
             self._forward(packet)
         else:
             self._drop(packet, queue=qi)
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Fused batch entry point: decide every packet in one tight
-        loop, then forward the accepted ones downstream in one call.
-
-        Safe because the decision path (classify, advance, hooks,
-        try_enqueue, ECN mark) reserves no simulator seqs — so running
-        all decisions before any forwarding assigns downstream seqs
-        exactly as the unbatched engine would (see DESIGN.md).  Cost
-        charges are integer-valued and commutative, so they accumulate
-        locally and post once per batch.
-        """
-        n = len(packets)
-        stats = self.stats
-        stats.arrived_packets += n
+    def _mark_ecn(self, queue: int, packet: Packet) -> None:
+        """CE-mark an accepted ECN-capable packet above the threshold."""
         queues = self.queues
-        queue_of = self._classifier.queue_of
-        advance = queues.advance
-        try_enqueue = queues.try_enqueue
-        now = self._sim._now
-        fraction = self._ecn_mark_fraction
-        cls = type(self)
-        arrived_hook = None if cls._arrived is PQP._arrived else self._arrived
-        accepted_hook = None if cls._accepted is PQP._accepted else self._accepted
-        accepted = self._accept_scratch
-        accepted.clear()
-        append = accepted.append
-        arrived_bytes = 0
-        alu = 0
-        drops = 0
-        drop_bytes = 0
-        for packet in packets:
-            size = packet.size
-            arrived_bytes += size
-            qi = queue_of(packet.flow)
-            before = queues.drain_recomputes
-            advance(now)
-            alu += 3 + 2 * (queues.drain_recomputes - before)
-            if arrived_hook is not None:
-                arrived_hook(qi, packet, now)
-            if try_enqueue(qi, size):
-                if accepted_hook is not None:
-                    accepted_hook(qi, packet, now)
-                if (
-                    fraction is not None
-                    and packet.ecn_capable
-                    and queues.length(qi) > fraction * queues.capacity(qi)
-                ):
-                    packet.ce = True
-                    self.ecn_marked_packets += 1
-                append(packet)
-            else:
-                drops += 1
-                drop_bytes += size
-                per_queue = stats.per_queue_drops
-                per_queue[qi] = per_queue.get(qi, 0) + 1
-        stats.arrived_bytes += arrived_bytes
-        cost = self.cost
-        cost.charge(Op.MAP, n)
-        cost.charge(Op.ALU, alu)
-        if drops:
-            stats.dropped_packets += drops
-            stats.dropped_bytes += drop_bytes
-        if accepted:
-            self._forward_batch(accepted)
-
-    def _arrived(self, queue: int, packet: Packet, now: float) -> None:
-        """Hook: every arrival, accepted or not (BC-PQP's idle detection)."""
-        del queue, packet, now
-
-    def _accepted(self, queue: int, packet: Packet, now: float) -> None:
-        """Hook for subclasses (BC-PQP's window accounting)."""
-        del queue, packet, now
+        if packet.ecn_capable and queues.length(queue) > (
+            self._ecn_mark_fraction * queues.capacity(queue)
+        ):
+            packet.ce = True
+            self.ecn_marked_packets += 1

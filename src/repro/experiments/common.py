@@ -48,7 +48,6 @@ __all__ = [
     "run_aggregate",
     "run_aggregates",
     "run_cells",
-    "set_batch",
     "set_execution",
     "set_validate",
 ]
@@ -63,20 +62,6 @@ def set_validate(enabled: bool) -> None:
     """Force invariant checking on (or off) for subsequent sweeps."""
     global _FORCE_VALIDATE
     _FORCE_VALIDATE = bool(enabled)
-
-
-#: Session-wide batching toggle (the experiments CLI's ``--batch`` /
-#: ``--no-batch``).  ``None`` = unbounded batches (the default engine),
-#: ``1`` = the legacy per-packet path.  Outcomes are byte-identical
-#: either way; the knob exists for benchmarking and bisection.
-_FORCE_BATCH: int | None = None
-
-
-def set_batch(batch: int | None) -> None:
-    """Set the delivery batch limit for subsequent sweeps (``None`` =
-    unbounded, ``1`` = unbatched legacy engine, ``K`` = cap)."""
-    global _FORCE_BATCH
-    _FORCE_BATCH = batch
 
 
 @dataclass(frozen=True)
@@ -239,11 +224,6 @@ def run_aggregates(
     if validate:
         configs = [
             c if c.validate else replace(c, validate=True) for c in configs
-        ]
-    if _FORCE_BATCH is not None:
-        configs = [
-            c if c.batch == _FORCE_BATCH else replace(c, batch=_FORCE_BATCH)
-            for c in configs
         ]
     return run_cells(
         simulate_aggregate,

@@ -65,8 +65,6 @@ def run(
     spec = config.spec()
     if common._FORCE_VALIDATE and not spec.validate:
         spec = replace(spec, validate=True)
-    if common._FORCE_BATCH is not None and spec.batch != common._FORCE_BATCH:
-        spec = replace(spec, batch=common._FORCE_BATCH)
     options = common._EXECUTION
     journal = None
     if options.journal_root is not None:

@@ -27,7 +27,7 @@ from array import array
 
 from repro.metrics.throughput import bin_layout
 from repro.net.packet import Packet, PacketKind
-from repro.net.sink import PacketSink, batch_capable
+from repro.net.sink import PacketSink
 from repro.sim.simulator import Simulator
 
 __all__ = ["FleetRecorder"]
@@ -61,7 +61,6 @@ class FleetRecorder:
         nbins, last_width = bin_layout(window, warmup, horizon)
         self._sim = sim
         self._sink = sink
-        self._batch_sink = batch_capable(sink)
         self.name = name
         self.lo = lo
         self.window = window
@@ -98,16 +97,7 @@ class FleetRecorder:
         self.recorded_packets += 1
 
     def receive(self, packet: Packet) -> None:
-        if packet.is_data:
-            self._record(packet, self._sim.now)
+        if packet.kind is PacketKind.DATA:
+            self._record(packet, self._sim._now)
         self._sink.receive(packet)
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Record a same-instant batch (one timestamp read), then forward
-        the whole batch downstream."""
-        now = self._sim._now
-        record = self._record
-        for packet in packets:
-            if packet.kind is PacketKind.DATA:
-                record(packet, now)
-        self._batch_sink.receive_batch(packets)

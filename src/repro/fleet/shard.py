@@ -72,7 +72,7 @@ def simulate_shard(config: ShardConfig) -> ShardSummary:
         from repro.validate import InvariantChecker
 
         checker = InvariantChecker()
-    sim = Simulator(validate=checker, batch_limit=spec.batch)
+    sim = Simulator(validate=checker)
     box = Middlebox(sim, name=f"fleet-shard-{config.index}")
     demux = FlowDemux()
 

@@ -49,10 +49,6 @@ class RateLimiter(ABC):
         self._sim = sim
         self.name = name
         self._downstream: PacketSink | None = None
-        self._downstream_batch: PacketSink | None = None
-        # Reused by fused receive_batch overrides to collect the accepted
-        # packets of a batch before the single _forward_batch call.
-        self._accept_scratch: list[Packet] = []
         self.stats = LimiterStats()
         self.cost = CostMeter()
         validator = getattr(sim, "validator", None)
@@ -65,9 +61,6 @@ class RateLimiter(ABC):
     def connect(self, downstream: PacketSink) -> None:
         """Attach the next hop packets are forwarded to."""
         self._downstream = downstream
-        from repro.net.sink import batch_capable
-
-        self._downstream_batch = batch_capable(downstream)
 
     @property
     def now(self) -> float:
@@ -107,23 +100,10 @@ class RateLimiter(ABC):
 
     def receive(self, packet: Packet) -> None:
         """PacketSink entry point: account the arrival then decide."""
-        self.stats.arrived_packets += 1
-        self.stats.arrived_bytes += packet.size
+        stats = self.stats
+        stats.arrived_packets += 1
+        stats.arrived_bytes += packet.size
         self._on_packet(packet)
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Batch entry point.
-
-        The base implementation loops :meth:`receive` per packet — always
-        a legal realization of a batch, and exactly what limiters whose
-        per-packet decision consumes simulator seqs (the shaper's dequeue
-        timers) must do to preserve the unbatched seq order.  Policers
-        whose decisions are schedule-free override this with a fused
-        decide-all-then-forward-all loop.
-        """
-        receive = self.receive
-        for packet in packets:
-            receive(packet)
 
     @abstractmethod
     def _on_packet(self, packet: Packet) -> None:
@@ -135,25 +115,6 @@ class RateLimiter(ABC):
         self.stats.forwarded_packets += 1
         self.stats.forwarded_bytes += packet.size
         self._downstream.receive(packet)
-
-    def _forward_batch(self, packets: list[Packet]) -> None:
-        """Forward an accepted batch downstream in one call.
-
-        Only safe for limiters whose decision phase reserves no simulator
-        seqs: the unbatched engine would interleave each packet's
-        downstream traversal with the next packet's decision, and the two
-        orders assign identical seqs exactly when the decisions consume
-        none (see DESIGN.md, "Batched packet path").
-        """
-        if self._downstream is None:
-            raise RuntimeError(f"{self.name}: no downstream connected")
-        stats = self.stats
-        stats.forwarded_packets += len(packets)
-        total = 0
-        for packet in packets:
-            total += packet.size
-        stats.forwarded_bytes += total
-        self._downstream_batch.receive_batch(packets)
 
     def _drop(self, packet: Packet, queue: int = 0) -> None:
         self.stats.dropped_packets += 1

@@ -121,40 +121,3 @@ class TokenBucketPolicer(RateLimiter):
             self._forward(packet)
         else:
             self._drop(packet)
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Fused batch entry point: one lazy refill (the per-packet
-        refills of a same-instant batch are no-ops after the first), one
-        decide loop on a local token count, one downstream call."""
-        n = len(packets)
-        stats = self.stats
-        stats.arrived_packets += n
-        self._refill()
-        cost = self.cost
-        cost.charge(Op.MAP, n)
-        cost.charge(Op.ALU, 3 * n)
-        tokens = self._tokens
-        accepted = self._accept_scratch
-        accepted.clear()
-        append = accepted.append
-        arrived_bytes = 0
-        drops = 0
-        drop_bytes = 0
-        for packet in packets:
-            size = packet.size
-            arrived_bytes += size
-            if tokens >= size:
-                tokens -= size
-                append(packet)
-            else:
-                drops += 1
-                drop_bytes += size
-        self._tokens = tokens
-        stats.arrived_bytes += arrived_bytes
-        if drops:
-            stats.dropped_packets += drops
-            stats.dropped_bytes += drop_bytes
-            per_queue = stats.per_queue_drops
-            per_queue[0] = per_queue.get(0, 0) + drops
-        if accepted:
-            self._forward_batch(accepted)

@@ -1,41 +1,33 @@
-"""The batched drain kernel shared by :class:`~repro.net.pipe.Pipe` and
+"""The drain shared by :class:`~repro.net.pipe.Pipe` and
 :class:`~repro.net.link.Link`.
 
-``drain_coalesced`` is the single hot inner loop of the batched packet
-path.  Each invocation pops the head of a coalesced FIFO, collects the
-longest *same-instant* prefix whose reserved ``(time, seq)`` keys all
-precede every other heap event, and hands the whole prefix to the
-receiver in one ``receive_batch`` call.  Between prefixes it either
-continues inline (same instant, still globally next), advances the
-simulation clock inline (strictly later instant, still globally next,
-and an un-budgeted ``run()`` is driving — see
-``Simulator._advance_bound``), or re-arms a heap event for the new head
-exactly like the legacy per-packet engine.
+``drain_coalesced`` is the single delivery loop of the packet path.
+Each invocation pops the head of a coalesced FIFO, hands it to the
+sink's ``receive``, and then decides what to do with the new head: deliver
+it inline at the same instant (when its reserved ``(time, seq)`` still
+precedes every other heap event), advance the simulation clock inline
+(strictly later instant, still globally next, and an un-budgeted
+``run()`` is driving — see ``Simulator._advance_bound``), or re-arm a heap
+event for it.  ``Simulator(batch_limit=K)`` caps the deliveries per drain
+event at K (``1``: every packet is its own heap event).
 
 Byte-identity argument
 ----------------------
-The legacy drain checks, *after* delivering each packet, whether the
-next pending ``(t, s)`` still precedes the heap head.  Collecting the
-guarded prefix *before* delivering is equivalent because every event
-pushed during delivery of a batch member carries ``time >= now`` and a
-seq **greater** than every seq reserved before it — so a push can never
-slip in front of a same-instant pending member, and the prefix guard's
-outcome is invariant under the deliveries it elides.  Cancellations
-never remove heap tuples (lazy deletion), so the guard's comparison
-target is stable too.  Inline clock advancement fires the exact event
-the run loop would have popped next, at the same ``(time, seq)``, with
-the same clock value — only the heap round-trip (push, sift, pop,
-handle recycle) is skipped, none of which is observable to components.
-
-Compilability constraints
--------------------------
-The kernel is deliberately written in a restricted, mypyc/Cython-
-compilable style: one flat function, plain locals, no closures, no
-comprehensions in the loop, explicit ``while``/``break`` control flow,
-and a caller-preallocated scratch list reused across batches.  An
-optionally compiled extension (``repro.net._fastpath_c``) is picked up
-when present; the pure-python definition below is the reference and the
-fallback — no build step is ever required.
+Every arrival reserves the global seq a one-event-per-packet engine
+would have consumed by scheduling its delivery, and a re-armed drain
+carries the head's reserved ``(time, seq)``, so the heap fires it exactly
+where that engine would have fired the packet's own event.  Inline
+continuation is guarded by the same comparison: the next pending packet
+is delivered without a heap round-trip only when it precedes the heap
+head.  Every event pushed while a packet is being delivered carries
+``time >= now`` and a seq greater than every seq reserved before it, so
+it can never slip in front of a same-instant pending packet; cancelled
+tuples stay in the heap (lazy deletion), so the guard's comparison target
+is stable too.  Inline clock advancement fires the exact event the run
+loop would have popped next, at the same ``(time, seq)``, with the same
+clock value — only the heap round-trip (push, sift, pop, handle recycle)
+is skipped, none of which is observable to components.  The drain limit
+only moves where the loop hands back to the heap, never the order.
 """
 
 from __future__ import annotations
@@ -43,7 +35,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable
 
-from repro.net.packet import Packet
 from repro.sim.simulator import EventHandle, Simulator
 
 
@@ -52,10 +43,9 @@ def drain_coalesced(
     pending: Any,
     sink: Any,
     rearm: Callable[[], None],
-    scratch: list[Packet],
 ) -> bool:
     """Drain ``pending`` (a deque of ``(time, seq, packet)``) into
-    ``sink`` in guarded same-instant batches.
+    ``sink.receive`` one packet at a time.
 
     Returns ``True`` when the deque is empty (the caller must clear its
     armed flag) and ``False`` when a heap event was re-armed for the
@@ -63,66 +53,49 @@ def drain_coalesced(
     """
     heap = sim._heap
     cap = sim._batch_cap
+    receive = sink.receive
     heappop = heapq.heappop
-    heappush = heapq.heappush
+    n = 0
     while True:
-        head = pending.popleft()
-        t0 = head[0]
-        scratch.clear()
-        scratch.append(head[2])
-        n = 1
-        while pending:
-            if n == cap:
-                break
-            nxt = pending[0]
-            t1 = nxt[0]
-            if t1 != t0:
-                break
-            if heap:
-                top = heap[0]
-                ht = top[0]
-                if ht < t1 or (ht == t1 and top[1] < nxt[1]):
-                    break
-            pending.popleft()
-            scratch.append(nxt[2])
-            n += 1
-        if n > 1:
-            sim._batched_deliveries += n
-        sink.receive_batch(scratch)
+        receive(pending.popleft()[2])
         if not pending:
             return True
+        n += 1
         nxt = pending[0]
         t1 = nxt[0]
         s1 = nxt[1]
-        now = sim._now
-        if t1 <= now:
-            # Same instant: the legacy guard (conservative — a cancelled
-            # heap top falls back to the re-arm path, as it always did).
-            if not heap:
-                continue
-            top = heap[0]
-            ht = top[0]
-            if ht > t1 or (ht == t1 and top[1] > s1):
-                continue
-        else:
-            bound = sim._advance_bound
-            if bound is not None and t1 <= bound:
-                # Strictly later instant: discard cancelled tops exactly
-                # like the run loop would, then check whether our head is
-                # the globally next live event.  If so, fire it inline.
-                while heap and heap[0][2].cancelled:
-                    heappop(heap)
-                    sim._cancelled_backlog -= 1
+        if n != cap:
+            if t1 <= sim._now:
+                # Same instant (conservative: a cancelled heap top falls
+                # back to the re-arm path).
                 if not heap:
-                    sim._now = t1
-                    sim._inline_advances += 1
+                    sim._batched_deliveries += 1
                     continue
                 top = heap[0]
                 ht = top[0]
                 if ht > t1 or (ht == t1 and top[1] > s1):
-                    sim._now = t1
-                    sim._inline_advances += 1
+                    sim._batched_deliveries += 1
                     continue
+            else:
+                bound = sim._advance_bound
+                if bound is not None and t1 <= bound:
+                    # Strictly later instant: discard cancelled tops
+                    # exactly like the run loop would, then check whether
+                    # our head is the globally next live event.  If so,
+                    # fire it inline.
+                    while heap and heap[0][2].cancelled:
+                        heappop(heap)
+                        sim._cancelled_backlog -= 1
+                    if not heap:
+                        sim._now = t1
+                        sim._inline_advances += 1
+                        continue
+                    top = heap[0]
+                    ht = top[0]
+                    if ht > t1 or (ht == t1 and top[1] > s1):
+                        sim._now = t1
+                        sim._inline_advances += 1
+                        continue
         # call_at_reserved(t1, s1, rearm), inlined: pooled-handle draw,
         # push, and counter updates — identical bookkeeping, no call.
         pool = sim._handle_pool
@@ -136,15 +109,9 @@ def drain_coalesced(
             handle.pooled = True
         handle.time = t1
         handle.seq = s1
-        heappush(heap, (t1, s1, handle))
+        heapq.heappush(heap, (t1, s1, handle))
         sim._heap_pushes += 1
         sim._live += 1
         if len(heap) > sim._peak_heap:
             sim._peak_heap = len(heap)
         return False
-
-
-try:  # pragma: no cover - exercised only where the extension is built
-    from repro.net._fastpath_c import drain_coalesced  # type: ignore  # noqa: F811,E501
-except ImportError:
-    pass

@@ -1,7 +1,7 @@
 """Impairment channels: lossy, bursty, jittery and trace-driven links.
 
 Every element in the reproduction's clean topology is a serializing
-FIFO, so loss recovery (SACK/RACK/TLP/RTO), the batched fast path and
+FIFO, so loss recovery (SACK/RACK/TLP/RTO), coalesced delivery and
 the packet pools had never been exercised under hostile conditions.
 This module provides composable, ``Pipe``-compatible impairment
 wrappers:
@@ -28,7 +28,7 @@ wrappers:
 Determinism: every random decision draws from a caller-supplied
 ``random.Random`` seeded from the simulator's root seed (per flow, in
 the scenario layer), and draws happen per packet in arrival order —
-which the engine guarantees is identical across batch granularities and
+which the engine guarantees is identical across drain limits and
 shard counts — so impaired runs are byte-identical across every engine.
 With all impairments disabled no wrapper is constructed and no draw is
 made, so clean runs stay byte-identical to the unimpaired code.
@@ -223,9 +223,9 @@ def _clone(packet: Packet) -> Packet:
 class _Gate:
     """Shared shape of the per-packet impairment gates.
 
-    Gates forward strictly per packet (``receive_batch`` loops) so the
-    per-packet RNG draw order — and therefore every downstream seq
-    reservation — is identical across batch granularities.
+    Gates draw their randomness per packet in arrival order, so the RNG
+    draw order — and therefore every downstream seq reservation — is
+    identical across drain limits.
     """
 
     __slots__ = ("_sink", "_rng", "forwarded_packets", "dropped_packets",
@@ -240,11 +240,6 @@ class _Gate:
 
     def receive(self, packet: Packet) -> None:  # pragma: no cover
         raise NotImplementedError
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        receive = self.receive
-        for packet in packets:
-            receive(packet)
 
     def _drop(self, packet: Packet) -> None:
         """Absorb a dropped packet: count it and return it to its pool
@@ -413,9 +408,8 @@ class JitterPipe:
     so in-flight wake seqs are tracked in ``_outstanding`` and re-arming
     at one of them simply re-adopts the wake already in the heap.
 
-    Deliveries are strictly per packet (the reference granularity for a
-    reordering element); downstream components accept singles in every
-    engine.  Each heap entry snapshots the packet's pool ``generation``
+    Deliveries are strictly per packet, like every other stage's single
+    ``receive``.  Each heap entry snapshots the packet's pool ``generation``
     at arrival and delivery re-checks it, so a packet recycled while in
     flight (a pool-lifecycle bug upstream) raises
     :class:`~repro.sim.simulator.SimulationError` instead of delivering
@@ -493,14 +487,6 @@ class JitterPipe:
         if self._armed_seq < 0 or time < self._armed_time:
             self._arm(time, seq)
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Per-packet entry for batched upstreams: each packet's delay
-        draw and seq reservation happen in arrival order, exactly as the
-        per-packet engine interleaves them."""
-        receive = self.receive
-        for packet in packets:
-            receive(packet)
-
     def _arm(self, time: float, seq: int) -> None:
         self._armed_time = time
         self._armed_seq = seq
@@ -516,7 +502,9 @@ class JitterPipe:
         heap = self._heap
         sim = self._sim
         sim_heap = sim._heap
+        cap = sim._batch_cap
         receive = self._sink.receive
+        n = 0
         while True:
             _time, _seq, generation, packet = heapq.heappop(heap)
             if packet.generation != generation or packet._in_pool:
@@ -529,13 +517,15 @@ class JitterPipe:
             receive(packet)
             if not heap:
                 return
+            n += 1
             head = heap[0]
             time = head[0]
             seq = head[1]
-            # Same inline-continuation guard as the coalesced pipe: the
-            # next pending delivery may run without a heap round-trip iff
-            # it is exactly the event the heap would fire next.
-            if time <= sim._now and (
+            # Same drain limit and inline-continuation guard as the
+            # coalesced pipe: the next pending delivery may run without a
+            # heap round-trip iff it is exactly the event the heap would
+            # fire next.
+            if n != cap and time <= sim._now and (
                 not sim_heap
                 or sim_heap[0][0] > time
                 or (sim_heap[0][0] == time and sim_heap[0][1] > seq)

@@ -6,7 +6,7 @@ from collections import deque
 
 from repro.net.fastpath import drain_coalesced
 from repro.net.packet import Packet
-from repro.net.sink import PacketSink, batch_capable
+from repro.net.sink import PacketSink
 from repro.sim.simulator import SimulationError, Simulator
 
 
@@ -53,11 +53,6 @@ class Link:
         # exact firing order).
         self._prop: deque[tuple[float, int, Packet]] = deque()
         self._prop_armed = False
-        self._batch_sink = batch_capable(sink)
-        self._scratch: list[Packet] = []
-        self._deliver_entry = (
-            self._deliver if sim.batch_limit == 1 else self.deliver_batch
-        )
 
         self.forwarded_packets = 0
         self.forwarded_bytes = 0
@@ -78,18 +73,6 @@ class Link:
     def backlog_bytes(self) -> int:
         """Bytes currently waiting (not counting the packet in service)."""
         return self._queued_bytes
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Accept a same-instant batch.
-
-        Serialization start (``call_after``) consumes a seq per packet,
-        so the enqueue side must run strictly per-packet to preserve the
-        unbatched engine's seq assignment — the batching win for a link
-        is on the *delivery* side (:meth:`deliver_batch`).
-        """
-        receive = self.receive
-        for packet in packets:
-            receive(packet)
 
     def receive(self, packet: Packet) -> None:
         """Accept a packet: transmit now, queue, or drop."""
@@ -134,7 +117,7 @@ class Link:
             prop.append((time, seq, packet))
             if not self._prop_armed:
                 self._prop_armed = True
-                sim.call_at_reserved(time, seq, self._deliver_entry)
+                sim.call_at_reserved(time, seq, self._deliver)
         else:
             self._sink.receive(packet)
         if self._queue:
@@ -145,31 +128,7 @@ class Link:
             self._busy = False
 
     def _deliver(self) -> None:
-        prop = self._prop
-        sim = self._sim
-        now = sim.now
-        receive = self._sink.receive
-        heap = sim._heap
-        while True:
-            receive(prop.popleft()[2])
-            if not prop:
-                self._prop_armed = False
-                return
-            time, seq, _packet = prop[0]
-            if time <= now and (
-                not heap
-                or heap[0][0] > time
-                or (heap[0][0] == time and heap[0][1] > seq)
-            ):
-                continue
-            sim.call_at_reserved(time, seq, self._deliver)
-            return
-
-    def deliver_batch(self) -> None:
-        """Batched drain of the propagation FIFO (see
+        """Drain the propagation FIFO (see
         :func:`repro.net.fastpath.drain_coalesced`)."""
-        if drain_coalesced(
-            self._sim, self._prop, self._batch_sink, self.deliver_batch,
-            self._scratch,
-        ):
+        if drain_coalesced(self._sim, self._prop, self._sink, self._deliver):
             self._prop_armed = False

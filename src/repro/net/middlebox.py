@@ -48,38 +48,6 @@ class Middlebox:
             return
         limiter.receive(packet)
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Dispatch a same-instant batch, grouping *consecutive* packets
-        of the same aggregate into one limiter call.
-
-        Only consecutive runs may be merged: merging across an unrelated
-        packet would reorder that packet's traversal relative to the run,
-        which the unbatched engine never does.
-        """
-        limiters = self._limiters
-        run: list[Packet] = []
-        run_limiter = None
-        run_aggregate = None
-        for packet in packets:
-            aggregate = packet.flow.aggregate
-            if aggregate != run_aggregate or run_limiter is None:
-                if len(run) == 1:
-                    run_limiter.receive(run[0])
-                elif run:
-                    run_limiter.receive_batch(run)
-                run = []
-                run_aggregate = aggregate
-                run_limiter = limiters.get(aggregate)
-                if run_limiter is None:
-                    self.unmatched_packets += 1
-                    run_aggregate = None
-                    continue
-            run.append(packet)
-        if len(run) == 1:
-            run_limiter.receive(run[0])
-        elif run:
-            run_limiter.receive_batch(run)
-
     def total_cycles(self) -> float:
         """Modeled CPU cycles summed over all hosted limiters."""
         return sum(lim.cost.cycles() for lim in self._limiters.values())

@@ -137,11 +137,11 @@ class Packet:
 
     #: Free list for DATA packets.  The receiver is the terminal consumer
     #: of a data packet (downstream components keep only scalar columns),
-    #: so it recycles the ones it absorbs batch-at-a-time.  Drop points
+    #: so it recycles each one it absorbs.  Drop points
     #: (impairment gates, the link's drop-tail buffer, the receiver's
     #: corrupt-packet discard) are terminal consumers too and recycle
-    #: what they drop via :meth:`recycle`, so the pool can fill in any
-    #: engine; pooling stays value-invisible (fresh uid per reissue).
+    #: what they drop via :meth:`recycle`; pooling stays value-invisible
+    #: (fresh uid per reissue).
     _data_pool: ClassVar[list["Packet"]] = []
     _DATA_POOL_MAX: ClassVar[int] = 4096
 
@@ -282,33 +282,20 @@ class Packet:
             pool.append(packet)
 
     @classmethod
-    def recycle_acks(cls, packets: list["Packet"]) -> None:
-        """Batch form of :meth:`recycle_ack`: return every consumed ACK
-        of a delivered batch to the free list in one pass.  Non-ACKs and
-        already-pooled packets are skipped by the same latch."""
-        pool = cls._ack_pool
-        limit = cls._ACK_POOL_MAX
-        for packet in packets:
-            if packet.kind is PacketKind.ACK and not packet._in_pool:
-                if len(pool) < limit:
-                    packet._in_pool = True
-                    pool.append(packet)
-
-    @classmethod
-    def recycle_data(cls, packets: list["Packet"]) -> None:
-        """Return consumed DATA packets to the free list in one pass.
+    def recycle_data(cls, packet: "Packet") -> None:
+        """Return a consumed DATA packet to the free list.
 
         Callers must be the terminal consumer (nothing downstream retains
-        a reference); the ``_in_pool`` latch makes double-recycling a
-        no-op, mirroring :meth:`recycle_acks`.
+        a reference); non-DATA packets are skipped and the ``_in_pool``
+        latch makes double-recycling a no-op, mirroring
+        :meth:`recycle_ack`.
         """
+        if packet.kind is not PacketKind.DATA or packet._in_pool:
+            return
         pool = cls._data_pool
-        limit = cls._DATA_POOL_MAX
-        for packet in packets:
-            if packet.kind is PacketKind.DATA and not packet._in_pool:
-                if len(pool) < limit:
-                    packet._in_pool = True
-                    pool.append(packet)
+        if len(pool) < cls._DATA_POOL_MAX:
+            packet._in_pool = True
+            pool.append(packet)
 
     @property
     def is_data(self) -> bool:

@@ -23,10 +23,8 @@ from collections import deque
 
 from repro.net.fastpath import drain_coalesced
 from repro.net.packet import Packet
-from repro.net.sink import PacketSink, batch_capable
-from repro.sim.simulator import EventHandle, SimulationError, Simulator
-
-import heapq
+from repro.net.sink import PacketSink
+from repro.sim.simulator import SimulationError, Simulator
 
 
 class Pipe:
@@ -47,15 +45,6 @@ class Pipe:
         #: arrival order == delivery order (constant delay).
         self._pending: deque[tuple[float, int, Packet]] = deque()
         self._armed = False
-        # Batched engine plumbing: the delivery event latched at
-        # construction (batch=1 keeps the legacy per-packet drain as the
-        # executable reference engine), a sink guaranteed to accept
-        # batches, and the reusable batch scratch list.
-        self._batch_sink = batch_capable(sink)
-        self._scratch: list[Packet] = []
-        self._deliver_entry = (
-            self._deliver if sim.batch_limit == 1 else self.deliver_batch
-        )
 
     @property
     def delay(self) -> float:
@@ -68,31 +57,12 @@ class Pipe:
         return len(self._pending)
 
     def receive(self, packet: Packet) -> None:
-        self.forwarded_packets += 1
-        self.forwarded_bytes += packet.size
-        if self._delay > 0:
-            sim = self._sim
-            time = sim.now + self._delay
-            pending = self._pending
-            if pending and time < pending[-1][0]:
-                raise SimulationError(
-                    f"pipe {self.name!r}: non-monotone delivery time "
-                    f"{time!r} after {pending[-1][0]!r} — the coalesced "
-                    "FIFO assumes arrival order == delivery order"
-                )
-            seq = sim.reserve_seq()
-            pending.append((time, seq, packet))
-            if not self._armed:
-                self._armed = True
-                sim.call_at_reserved(time, seq, self._deliver_entry)
-        else:
-            self._sink.receive(packet)
+        """Accept ``packet``; it leaves ``delay`` seconds from now.
 
-    def receive_fast(self, packet: Packet) -> None:
-        """:meth:`receive` with the clock read and seq reservation
-        inlined — identical bookkeeping, fewer attribute/property hops.
-        Batched-engine fused senders latch this entry; the legacy engine
-        never routes here."""
+        The clock read and the seq reservation (``reserve_seq``) are
+        inlined: identical bookkeeping, fewer hops on the per-packet
+        path.
+        """
         self.forwarded_packets += 1
         self.forwarded_bytes += packet.size
         if self._delay > 0:
@@ -110,118 +80,11 @@ class Pipe:
             pending.append((time, seq, packet))
             if not self._armed:
                 self._armed = True
-                # call_at_reserved inlined (identical bookkeeping).
-                pool = sim._handle_pool
-                if pool:
-                    handle = pool.pop()
-                    handle.generation += 1
-                    handle.callback = self._deliver_entry
-                    handle.args = ()
-                else:
-                    handle = EventHandle(0.0, 0, self._deliver_entry, (), sim)
-                    handle.pooled = True
-                handle.time = time
-                handle.seq = seq
-                heap = sim._heap
-                heapq.heappush(heap, (time, seq, handle))
-                sim._heap_pushes += 1
-                sim._live += 1
-                if len(heap) > sim._peak_heap:
-                    sim._peak_heap = len(heap)
+                sim.call_at_reserved(time, seq, self._deliver)
         else:
             self._sink.receive(packet)
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Accept a same-instant batch in one call.
-
-        Seq reservation is *consecutive*: in the unbatched engine the
-        packets of a batch arrive back-to-back with no other seq
-        consumer between them (the stages upstream of a pipe reserve no
-        seqs while forwarding), so claiming ``n`` consecutive numbers
-        here assigns each packet the exact seq it would have drawn
-        one-at-a-time.
-        """
-        n = len(packets)
-        if n == 0:
-            return
-        self.forwarded_packets += n
-        size = 0
-        if self._delay > 0:
-            sim = self._sim
-            time = sim._now + self._delay
-            pending = self._pending
-            if pending and time < pending[-1][0]:
-                raise SimulationError(
-                    f"pipe {self.name!r}: non-monotone delivery time "
-                    f"{time!r} after {pending[-1][0]!r} — the coalesced "
-                    "FIFO assumes arrival order == delivery order"
-                )
-            seq = sim._seq
-            sim._seq = seq + n
-            append = pending.append
-            for packet in packets:
-                size += packet.size
-                append((time, seq, packet))
-                seq += 1
-            self.forwarded_bytes += size
-            if not self._armed:
-                self._armed = True
-                # call_at_reserved inlined (identical bookkeeping).
-                head_seq = seq - n
-                pool = sim._handle_pool
-                if pool:
-                    handle = pool.pop()
-                    handle.generation += 1
-                    handle.callback = self._deliver_entry
-                    handle.args = ()
-                else:
-                    handle = EventHandle(0.0, 0, self._deliver_entry, (), sim)
-                    handle.pooled = True
-                handle.time = time
-                handle.seq = head_seq
-                heap = sim._heap
-                heapq.heappush(heap, (time, head_seq, handle))
-                sim._heap_pushes += 1
-                sim._live += 1
-                if len(heap) > sim._peak_heap:
-                    sim._peak_heap = len(heap)
-        else:
-            for packet in packets:
-                size += packet.size
-            self.forwarded_bytes += size
-            self._batch_sink.receive_batch(packets)
-
-    def deliver_batch(self) -> None:
-        """Batched drain: hand guarded same-instant prefixes of the FIFO
-        to the sink in single ``receive_batch`` calls (see
-        :func:`repro.net.fastpath.drain_coalesced`)."""
-        if drain_coalesced(
-            self._sim, self._pending, self._batch_sink, self.deliver_batch,
-            self._scratch,
-        ):
-            self._armed = False
-
     def _deliver(self) -> None:
-        """Deliver the head, then drain in-order packets inline for as
-        long as no other heap event would have fired between them."""
-        pending = self._pending
-        sim = self._sim
-        now = sim.now
-        receive = self._sink.receive
-        heap = sim._heap
-        while True:
-            receive(pending.popleft()[2])
-            if not pending:
-                self._armed = False
-                return
-            time, seq, _packet = pending[0]
-            if time <= now and (
-                not heap
-                or heap[0][0] > time
-                or (heap[0][0] == time and heap[0][1] > seq)
-            ):
-                # The next pending packet is exactly the event the heap
-                # would fire next — deliver it without the heap round-trip.
-                continue
-            sim.call_at_reserved(time, seq, self._deliver)
-            return
+        """Drain the FIFO (see :func:`repro.net.fastpath.drain_coalesced`)."""
+        if drain_coalesced(self._sim, self._pending, self._sink, self._deliver):
+            self._armed = False

@@ -16,49 +16,6 @@ class PacketSink(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
-class BatchSink(Protocol):
-    """A sink that additionally accepts same-instant batches.
-
-    ``receive_batch(packets)`` must be equivalent to calling ``receive``
-    on each packet in order.  The sequence handed in may be a reused
-    scratch buffer owned by the caller — implementations must not retain
-    it past the call (copy the packets out if they need to).
-    """
-
-    def receive(self, packet: Packet) -> None:
-        ...  # pragma: no cover - protocol definition
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        ...  # pragma: no cover - protocol definition
-
-
-class _PerPacketAdapter:
-    """Wraps a plain :class:`PacketSink` so batched drains can feed it."""
-
-    __slots__ = ("_sink",)
-
-    def __init__(self, sink: PacketSink) -> None:
-        self._sink = sink
-
-    def receive(self, packet: Packet) -> None:
-        self._sink.receive(packet)
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        receive = self._sink.receive
-        for packet in packets:
-            receive(packet)
-
-
-def batch_capable(sink: PacketSink) -> "BatchSink":
-    """Return ``sink`` itself when it accepts batches, else a per-packet
-    adapter.  The returned object is looked up dynamically at dispatch
-    time, so instance-level ``receive_batch`` wrappers installed later
-    (the invariant checker's) still shadow the class method."""
-    if hasattr(sink, "receive_batch"):
-        return sink  # type: ignore[return-value]
-    return _PerPacketAdapter(sink)
-
-
 class NullSink:
     """Swallows packets; useful as a default downstream in unit tests."""
 
@@ -70,17 +27,6 @@ class NullSink:
         self.count += 1
         self.bytes += packet.size
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        self.count += len(packets)
-        total = 0
-        for packet in packets:
-            total += packet.size
-        self.bytes += total
-        # Terminal sink: consumed pure ACKs go back to the free list
-        # batch-at-a-time (pooling is value-invisible — uids are always
-        # fresh — so this cannot perturb outcomes).
-        Packet.recycle_acks(packets)
-
 
 class CallbackSink:
     """Adapts a plain callable into a :class:`PacketSink`."""
@@ -90,11 +36,6 @@ class CallbackSink:
 
     def receive(self, packet: Packet) -> None:
         self._callback(packet)
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        callback = self._callback
-        for packet in packets:
-            callback(packet)
 
 
 class TeeSink:
@@ -107,11 +48,3 @@ class TeeSink:
         for sink in self._sinks:
             sink.receive(packet)
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        # Per-packet across all sinks, in the legacy interleaving: a
-        # sink that reserves seqs (a downstream pipe) must consume them
-        # in exactly the unbatched order.
-        sinks = self._sinks
-        for packet in packets:
-            for sink in sinks:
-                sink.receive(packet)

@@ -61,10 +61,10 @@ class AggregateConfig:
     #: the field participates in the config ``repr`` so validated and
     #: unvalidated runs never share cache entries.
     validate: bool = False
-    #: Delivery batching (``Simulator(batch_limit=...)``): ``None`` =
-    #: unbounded batches (the default engine), ``1`` = the legacy
-    #: per-packet path, ``K`` = cap batches at K.  Outcomes are
-    #: byte-identical for every setting (pinned by
+    #: Drain limit (``Simulator(batch_limit=...)``): at most this many
+    #: packets delivered per link/pipe drain event; ``None`` =
+    #: unbounded (the default), ``1`` = every packet its own heap event.
+    #: Outcomes are byte-identical for every setting (pinned by
     #: ``tests/test_engine_equivalence.py`` and the differential
     #: fuzzer); the field participates in the cache token regardless.
     batch: int | None = None

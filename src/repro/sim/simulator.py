@@ -69,28 +69,29 @@ class Simulator:
         self._seq = 0
         self._events_processed = 0
         self._running = False
-        if batch_limit is not None and batch_limit < 1:
+        if batch_limit is not None and (
+            not isinstance(batch_limit, int)
+            or isinstance(batch_limit, bool)
+            or batch_limit < 1
+        ):
             raise SimulationError(
-                f"batch_limit must be None or >= 1, got {batch_limit!r}"
+                f"batch_limit must be None or an int >= 1, got {batch_limit!r}"
             )
-        #: Batched-delivery policy for coalesced FIFO components
-        #: (link/pipe): ``None`` = unbounded batches (the default engine),
-        #: ``1`` = the legacy one-packet-per-callback path, ``K`` = cap
-        #: each batch at K packets.  ``batch=1`` is byte-identical by
-        #: construction (it *is* the old code path); every other setting
-        #: is byte-identical by the reserved-seq argument in
-        #: ``net/fastpath.py`` and is pinned by
-        #: ``tests/test_engine_equivalence.py``.
-        self.batch_limit = batch_limit
-        # Kernel-facing cap: 0 means unbounded (a batch of n packets
-        # stops growing when ``n == cap``; n starts at 1 so 0 never hits).
+        # Drain limit for the delay stages (Link, Pipe, JitterPipe): at
+        # most this many packets are delivered per drain event.
+        # ``batch_limit=None`` (the default) is unbounded and stored as 0:
+        # a drain re-arms after its n-th delivery when ``n == cap``, and n
+        # counts deliveries made, so 0 never hits.  ``1`` makes every
+        # packet its own heap event, the reference granularity.  Every
+        # setting is byte-identical by the reserved-seq argument in
+        # ``net/fastpath.py``, pinned by ``tests/test_batching.py``.
         self._batch_cap = 0 if batch_limit is None else batch_limit
         #: While ``run()`` executes without a ``max_events`` budget, the
-        #: clock may be advanced *inline* by a batched drain (up to this
-        #: bound) whenever the drain's own next packet is provably the
-        #: globally next event — saving the heap round-trip the legacy
-        #: engine paid.  ``None`` disables inline advancement (the state
-        #: outside ``run()`` and under ``max_events`` stepping).
+        #: clock may be advanced *inline* by a drain (up to this bound)
+        #: whenever the drain's own next packet is provably the globally
+        #: next event, saving the heap round-trip.  ``None`` disables
+        #: inline advancement (the state outside ``run()`` and under
+        #: ``max_events`` stepping).
         self._advance_bound: float | None = None
         self._inline_advances = 0
         self._batched_deliveries = 0
@@ -170,15 +171,14 @@ class Simulator:
 
     @property
     def inline_advances(self) -> int:
-        """Clock advances performed inline by batched drains — each one
-        replaced a heap push + pop + handle recycle of the legacy
-        engine."""
+        """Clock advances performed inline by drains — each one replaced
+        a heap push + pop + handle recycle."""
         return self._inline_advances
 
     @property
     def batched_deliveries(self) -> int:
-        """Packets delivered through multi-packet batches (batch size
-        >= 2); singleton batches are not counted."""
+        """Packets a drain delivered inline at the instant of the packet
+        before it (same-instant continuations)."""
         return self._batched_deliveries
 
     def _note_cancelled(self) -> None:
@@ -384,11 +384,11 @@ class Simulator:
         if self._running:
             raise SimulationError("run() re-entered from within an event")
         self._running = True
-        # Batched drains may advance the clock inline, but only while an
+        # Drains may advance the clock inline, but only while an
         # un-budgeted run() is driving the loop: under ``max_events`` the
         # caller observes (and resumes from) every individual firing, so
         # inline advancement would change where the budget lands.
-        if max_events is None and self.batch_limit != 1:
+        if max_events is None:
             self._advance_bound = _INF if until is None else until
         # Local-variable hot loop: one pass per event, no peek_time/step
         # double scan of the heap head and no per-event method dispatch.

@@ -123,48 +123,14 @@ class InvariantChecker:
         def wrapped_receive(packet: Any) -> None:
             if not state["ready"]:
                 self._init_limiter(limiter, state)
+            # Read before delivery: a terminal consumer downstream may
+            # recycle the packet (and a sender reissue it) before the
+            # receive returns.
+            flow = packet.flow
             original_receive(packet)
-            self._check_limiter(limiter, state, packet)
+            self._check_limiter(limiter, state, flow)
 
         limiter.receive = wrapped_receive
-
-        def wrapped_receive_batch(packets: Any) -> None:
-            # Instance attribute shadows the fused class-level batch
-            # path, so a validated run takes the per-packet wrapped
-            # route — every per-packet invariant still fires, and the
-            # validated run stays bit-identical to batch=1 (the fused
-            # paths are proven equivalent separately, by the equivalence
-            # pins and the differential fuzzer).
-            stats = limiter.stats
-            arrived_packets = stats.arrived_packets
-            arrived_bytes = stats.arrived_bytes
-            batch_bytes = 0
-            for packet in packets:
-                batch_bytes += packet.size
-                wrapped_receive(packet)
-            # Batch-aware invariants: the whole batch (and nothing else)
-            # was accounted across this deliver_batch() hand-off...
-            self._ensure(
-                stats.arrived_packets - arrived_packets == len(packets),
-                f"{limiter.name}: batch packet accounting broken: "
-                f"{stats.arrived_packets - arrived_packets} arrivals "
-                f"recorded for a {len(packets)}-packet batch",
-            )
-            self._ensure(
-                stats.arrived_bytes - arrived_bytes == batch_bytes,
-                f"{limiter.name}: batch byte accounting broken: "
-                f"{stats.arrived_bytes - arrived_bytes} bytes recorded "
-                f"for a {batch_bytes}-byte batch",
-            )
-            # ... and the engine's live/cancelled tiling of the heap
-            # still holds *mid-drain*, while the delivery event that
-            # carried this batch is popped but its successors are not
-            # yet re-armed.
-            sim = getattr(limiter, "_sim", None)
-            if sim is not None and sim in self._simulators:
-                self._check_simulator(sim)
-
-        limiter.receive_batch = wrapped_receive_batch
 
         original_apply = limiter.apply_update
 
@@ -217,12 +183,6 @@ class InvariantChecker:
 
         sender.receive = wrapped_receive
 
-        def wrapped_receive_batch(packets: Any) -> None:
-            for packet in packets:
-                wrapped_receive(packet)
-
-        sender.receive_batch = wrapped_receive_batch
-
     def attach_middlebox(self, middlebox: Any) -> None:
         """Wrap dispatch accounting.  Assumes registered limiters receive
         traffic only through this middlebox (the repo's wiring)."""
@@ -257,12 +217,6 @@ class InvariantChecker:
             self._check_middlebox(middlebox, state)
 
         middlebox.receive = wrapped_receive
-
-        def wrapped_receive_batch(packets: Any) -> None:
-            for packet in packets:
-                wrapped_receive(packet)
-
-        middlebox.receive_batch = wrapped_receive_batch
 
     # ------------------------------------------------------------------
     # Reporting
@@ -432,8 +386,10 @@ class InvariantChecker:
         )
 
     def _check_limiter(
-        self, limiter: Any, state: dict[str, Any], packet: Any
+        self, limiter: Any, state: dict[str, Any], flow: Any
     ) -> None:
+        """Per-limiter invariants; ``flow`` is the arriving packet's flow
+        (``None`` for checks outside an arrival)."""
         sim = getattr(limiter, "_sim", None)
         if sim is not None and sim in self._simulators:
             self._check_simulator(sim)
@@ -494,7 +450,7 @@ class InvariantChecker:
         elif isinstance(limiter, PQP):
             self._check_phantom(limiter, state)
             if isinstance(limiter, BCPQP):
-                self._check_bcpqp(limiter, packet)
+                self._check_bcpqp(limiter, flow)
 
     def _check_shaper(self, shaper: Shaper) -> None:
         stats = shaper.stats
@@ -630,7 +586,7 @@ class InvariantChecker:
                     )
                 state["prev_vtimes"] = virtual_times
 
-    def _check_bcpqp(self, limiter: BCPQP, packet: Any) -> None:
+    def _check_bcpqp(self, limiter: BCPQP, flow: Any) -> None:
         name = limiter.name
         self._ensure(
             len(limiter._accepted_window) == limiter.num_queues
@@ -660,10 +616,10 @@ class InvariantChecker:
             f"{name}: negative magic counter: fills={limiter.magic_fills},"
             f" reclaims={limiter.magic_reclaims}",
         )
-        if packet is not None:
-            # The arrival hook rolled (or reset) this packet's window, so
+        if flow is not None:
+            # The arrival rolled (or reset) this packet's window, so
             # post-packet the arriving queue's window is younger than T.
-            qi = limiter._classifier.queue_of(packet.flow)
+            qi = limiter._classifier.queue_of(flow)
             age = limiter.window_age(qi, limiter._sim.now)
             self._ensure(
                 age < limiter.period + _EPS,

@@ -96,11 +96,11 @@ class FuzzCase:
     weights: tuple[float, ...] | None
     priorities: tuple[int, ...] | None
     baseline: str
-    #: Delivery batch limit for the case's primary runs (``None`` =
-    #: unbounded batched engine, ``1`` = legacy per-packet, ``K`` = cap).
-    #: Corpus JSON predating the field deserializes to the batched
-    #: default.  Every case is additionally re-run at the *opposite*
-    #: granularity and diffed bit-for-bit (:func:`_diff_batch`).
+    #: Drain limit for the case's primary runs (``None`` = unbounded,
+    #: ``1`` = every packet its own heap event, ``K`` = at most K
+    #: deliveries per drain event).  Corpus JSON predating the field
+    #: deserializes to unbounded.  Every case is additionally re-run at
+    #: the *opposite* limit and diffed bit-for-bit (:func:`_diff_batch`).
     batch: int | None = None
     #: Fleet shard count for the shard-invariance tier: a small
     #: generatively-seeded fleet is run unsharded and partitioned into
@@ -283,10 +283,10 @@ def generate_case(
     if policy_kind == "prioritized":
         # Mostly priority 0 so lower classes aren't always fully starved.
         priorities = tuple(rng.choice((0, 0, 1)) for _ in range(n))
-    # Batch-limit draw (last, so earlier draws match the pre-batching
-    # corpus): the interesting sizes are the two engines' endpoints
-    # (1 = per-packet, None = unbounded) plus tiny and mid-size caps
-    # that force batch boundaries at awkward places.
+    # Drain-limit draw (last, so earlier draws match the older corpus):
+    # the interesting limits are the endpoints (1 = every packet its own
+    # heap event, None = unbounded) plus tiny and mid-size caps that
+    # hand back to the heap at awkward places.
     batch = rng.choice((1, 2, rng.randint(2, 32), None))
     # Shard-count draw (after batch, same reason: earlier draws keep
     # matching the pre-fleet corpus).  Small counts: the tier's job is
@@ -428,9 +428,9 @@ def _diff_batch(
     b: dict,
     divergences: list[str],
 ) -> None:
-    """Batched vs unbatched engines are the *same* simulation computed at
-    different delivery granularities: every outcome — including the pure
-    float ``drained_bytes`` accumulator — must be bit-for-bit equal."""
+    """Two drain limits are the *same* simulation computed at different
+    delivery granularities: every outcome — including the pure float
+    ``drained_bytes`` accumulator — must be bit-for-bit equal."""
     for key in _STRICT_KEYS + ("drained_bytes",):
         if a[key] != b[key]:
             divergences.append(
@@ -461,7 +461,6 @@ def _diff_fleet(case: FuzzCase, divergences: list[str]) -> int:
         scheme=scheme,
         horizon=case.horizon,
         warmup=case.warmup,
-        batch=case.batch,
         impair=case.impair,
         # Churned cases churn the fleet too: each aggregate draws its own
         # per-aggregate plan (as many actions as the case's plan) from
@@ -506,7 +505,7 @@ def run_case(case: FuzzCase) -> CaseReport:
             _diff_loose(
                 scheme, outcomes["fluid"], outcomes["quantum"], divergences
             )
-        # Differential batching tier: the same scheme/service at the
+        # Differential drain-limit tier: the same scheme/service at the
         # opposite delivery granularity must match bit for bit.
         alt = _run_engine(case, scheme, "fluid", batch=other_batch)
         simulations += 1

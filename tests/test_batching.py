@@ -1,30 +1,36 @@
-"""Batched packet path: ordering and equivalence properties.
+"""Coalesced delivery: drain limits, ordering and the packet pools.
 
-The batched engine's contract is that a batch is *bookkeeping*, not a
-semantic unit: draining a same-instant prefix of a pipe/link FIFO in one
-callback must produce exactly the global event interleaving the
-per-packet engine would have produced.  These tests drive randomized
+The drain limit (``Simulator(batch_limit=K)``) is *bookkeeping*, not a
+semantic unit: delivering several packets of a pipe/link FIFO from one
+drain event must produce exactly the global event interleaving that one
+heap event per packet (``K = 1``) produces.  These tests drive randomized
 workloads of packet arrivals and competing timer events through a
-:class:`~repro.net.pipe.Pipe` under every interesting batch limit
-(1 = legacy per-packet, tiny caps that split batches at awkward places,
-and the unbounded default) and require the observed delivery/timer log
-to be *identical* across all of them.
+:class:`~repro.net.pipe.Pipe` and a :class:`~repro.net.link.Link` under
+every interesting drain limit (1, tiny caps that hand back to the heap
+at awkward places, a drawn K, and the unbounded default) and require the
+observed delivery/timer log to be *identical* across all of them.
 """
 
 from __future__ import annotations
 
+import re
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.net.impair import JitterPipe
+from repro.net.link import Link
 from repro.net.packet import FlowId, Packet
 from repro.net.pipe import Pipe
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationError, Simulator
 
 pytestmark = pytest.mark.batch
 
-#: Batch limits under test: the two engine endpoints plus boundary-forcing
-#: caps (a cap of 2 or 3 splits every burst into multiple drains).
-BATCH_LIMITS = (1, 2, 3, None)
+#: Fixed drain limits under test besides the reference ``1``: a cap of 2
+#: splits every burst into several drains, ``None`` is unbounded.  Each
+#: property also draws one more cap K.
+BATCH_LIMITS = (1, 2, None)
 
 FLOW = FlowId(aggregate=0, slot=0)
 
@@ -40,12 +46,17 @@ class _Recorder:
         self._log.append(("pkt", self._sim.now, packet.seq))
 
 
-def _run_scenario(batch, arrivals, timers, delay):
+def _run_scenario(batch, arrivals, timers, delay, *, link=False):
     """One simulation: ``arrivals`` are (time, count) packet bursts into a
-    pipe, ``timers`` are competing pure events; returns the merged log."""
+    pipe (or a link serializing at 1 packet/ms with propagation
+    ``delay``), ``timers`` are competing pure events; returns the merged
+    log."""
     sim = Simulator(batch_limit=batch)
     log: list = []
-    pipe = Pipe(sim, delay, _Recorder(sim, log))
+    if link:
+        pipe = Link(sim, rate=1000 * 1500.0, delay=delay, sink=_Recorder(sim, log))
+    else:
+        pipe = Pipe(sim, delay, _Recorder(sim, log))
     seq = 0
     for time, count in arrivals:
         # Unique seq per packet, stable across batch limits.
@@ -77,21 +88,28 @@ def _run_scenario(batch, arrivals, timers, delay):
         max_size=6,
     ),
     delay=st.sampled_from((0.0, 0.001, 0.0042)),
+    cap=st.integers(min_value=3, max_value=12),
+    link=st.booleans(),
 )
-@settings(max_examples=40, deadline=None)
-def test_batch_boundaries_preserve_global_event_order(arrivals, timers, delay):
-    """Property: for random bursts of pipe arrivals interleaved with
-    competing timer events — including exact time ties, where ordering
-    falls to reserved seqs — every batch limit yields the identical
-    globally-ordered log."""
-    reference = _run_scenario(1, arrivals, timers, delay)
-    for batch in BATCH_LIMITS[1:]:
-        assert _run_scenario(batch, arrivals, timers, delay) == reference
+@settings(max_examples=60, deadline=None)
+def test_batch_boundaries_preserve_global_event_order(
+    arrivals, timers, delay, cap, link
+):
+    """Property: for random bursts of pipe (or link) arrivals interleaved
+    with competing timer events — including exact time ties, where
+    ordering falls to reserved seqs — every drain limit yields the
+    identical globally-ordered log."""
+    reference = _run_scenario(1, arrivals, timers, delay, link=link)
+    for batch in BATCH_LIMITS[1:] + (cap,):
+        assert (
+            _run_scenario(batch, arrivals, timers, delay, link=link)
+            == reference
+        )
 
 
-def test_batch_one_uses_legacy_drain():
-    """``batch=1`` must keep the per-packet reference path: no batched
-    deliveries are ever counted."""
+def test_drain_limit_one_fires_every_packet_as_its_own_event():
+    """``batch_limit=1``: each delivery is a heap event of its own — no
+    inline same-instant delivery, no inline clock advance."""
     sim = Simulator(batch_limit=1)
     log: list = []
     pipe = Pipe(sim, 0.001, _Recorder(sim, log))
@@ -99,27 +117,55 @@ def test_batch_one_uses_legacy_drain():
         pipe.receive(Packet.data(FLOW, seq=i, sent_at=0.0))
     sim.run()
     assert [entry[2] for entry in log] == list(range(10))
+    assert sim.events_processed == 10
     assert sim.batched_deliveries == 0
+    assert sim.inline_advances == 0
 
 
-def test_unbounded_batch_drains_same_instant_prefix_in_one_call():
-    """A same-instant burst behind a constant-delay pipe arrives as one
-    batched drain under the unbounded engine."""
-    sim = Simulator()
-    batches: list[list[int]] = []
+@pytest.mark.parametrize("limit, events", [(1, 10), (3, 4), (None, 1)])
+def test_jitter_pipe_honours_the_drain_limit(limit, events):
+    """The jittered delay stage obeys the same drain limit: a
+    same-instant burst costs ceil(10 / K) drain events, and limit 1
+    makes every packet its own heap event."""
+    sim = Simulator(batch_limit=limit)
+    seen: list[int] = []
 
-    class BatchRecorder:
+    class SeqRecorder:
         def receive(self, packet: Packet) -> None:
-            batches.append([packet.seq])
+            seen.append(packet.seq)
 
-        def receive_batch(self, packets: list[Packet]) -> None:
-            batches.append([p.seq for p in packets])
-
-    pipe = Pipe(sim, 0.001, BatchRecorder())
+    pipe = JitterPipe(sim, 0.001, SeqRecorder(), rng=Random(1))
     for i in range(10):
         pipe.receive(Packet.data(FLOW, seq=i, sent_at=0.0))
     sim.run()
-    assert batches == [list(range(10))]
+    assert seen == list(range(10))
+    assert sim.events_processed == events
+
+
+def test_unbounded_drain_delivers_same_instant_burst_from_one_event():
+    """A same-instant burst behind a constant-delay pipe is delivered one
+    packet at a time, all from one drain event, under the default
+    unbounded limit."""
+    sim = Simulator()
+    seen: list[int] = []
+
+    class SeqRecorder:
+        def receive(self, packet: Packet) -> None:
+            seen.append(packet.seq)
+
+    pipe = Pipe(sim, 0.001, SeqRecorder())
+    for i in range(10):
+        pipe.receive(Packet.data(FLOW, seq=i, sent_at=0.0))
+    sim.run()
+    assert seen == list(range(10))
+    assert sim.events_processed == 1
+    assert sim.batched_deliveries == 9
+
+
+@pytest.mark.parametrize("limit", [2.5, True, False, "3", 0, -1, 1.0])
+def test_malformed_drain_limit_is_rejected_with_its_value(limit):
+    with pytest.raises(SimulationError, match=re.escape(repr(limit))):
+        Simulator(batch_limit=limit)
 
 
 class TestDataPool:
@@ -134,7 +180,8 @@ class TestDataPool:
     def test_recycle_data_pools_only_data_and_latches(self):
         data = Packet.data(FLOW, seq=1, sent_at=0.5)
         ack = Packet.ack(FLOW, 2, 0.6, echo_ts=0.5, echo_retransmit=False)
-        Packet.recycle_data([data, ack, data])
+        for packet in (data, ack, data):
+            Packet.recycle_data(packet)
         assert Packet._data_pool == [data]
         assert data._in_pool and not ack._in_pool
 
@@ -144,7 +191,7 @@ class TestDataPool:
         )
         data.ce = True  # mid-flight AQM mark must not survive reissue
         old_uid, old_gen = data.uid, data.generation
-        Packet.recycle_data([data])
+        Packet.recycle_data(data)
         fresh = Packet.data(FlowId(1, 2), seq=9, sent_at=1.25)
         assert fresh is data
         assert fresh.generation == old_gen + 1
@@ -158,5 +205,6 @@ class TestDataPool:
             Packet.data(FLOW, seq=i, sent_at=0.0)
             for i in range(Packet._DATA_POOL_MAX + 10)
         ]
-        Packet.recycle_data(packets)
+        for packet in packets:
+            Packet.recycle_data(packet)
         assert len(Packet._data_pool) == Packet._DATA_POOL_MAX

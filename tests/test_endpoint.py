@@ -154,21 +154,25 @@ class TestSackRecovery:
         sim = Simulator()
         cc = FixedWindow(initial_cwnd=20)
         sender, gate, receiver = make_connection(sim, cc=cc, total=150)
-        # Drop seq 30 twice: original and first retransmission.
+        # Drop seq 30 twice: the gate counts its arrivals and drops the
+        # original and the first retransmission.
         gate.drop_once.add(30)
-        original_transmit = sender._transmit
-        state = {"dropped_retx": False}
+        original_receive = gate.receive
+        state = {"arrivals": 0, "dropped_retx": False}
 
-        def hook(seq, *, retransmit):
-            if seq == 30 and retransmit and not state["dropped_retx"]:
-                state["dropped_retx"] = True
-                gate.drop_once.add(30)
-            original_transmit(seq, retransmit=retransmit)
+        def counting_receive(packet):
+            if packet.seq == 30:
+                state["arrivals"] += 1
+                if state["arrivals"] == 2 and packet.retransmit:
+                    state["dropped_retx"] = True
+                    gate.drop_once.add(30)
+            original_receive(packet)
 
-        sender._transmit = hook
+        gate.receive = counting_receive
         sim.run(until=30.0)
         assert sender.done
         assert state["dropped_retx"]
+        assert gate.dropped.count(30) == 2
         assert receiver.rcv_nxt == 150
 
     def test_inflight_accounts_sacked_and_lost(self):

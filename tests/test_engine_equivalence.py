@@ -68,10 +68,10 @@ def test_outcomes_identical_to_pre_overhaul_engine(scheme, ccs):
     "scheme,ccs", sorted(PINNED), ids=lambda v: v if isinstance(v, str) else "+".join(v)
 )
 def test_batched_engine_matches_unbatched(scheme, ccs):
-    """The batched packet path is the same simulation at a different
-    delivery granularity: every outcome metric must be bit-for-bit equal
-    between ``batch=1`` (legacy per-packet reference) and the unbounded
-    batched engine, across all five schemes."""
+    """The drain limit is the same simulation at a different delivery
+    granularity: every outcome metric must be bit-for-bit equal between
+    drain limit 1 (every packet its own heap event) and the unbounded
+    default, across all five schemes."""
     specs = [
         FlowSpec(slot=i, cc=cc, rtt=ms(20 + 15 * i)) for i, cc in enumerate(ccs)
     ]

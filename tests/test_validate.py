@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.cc.endpoint import TcpSender
 from repro.core.bcpqp import BCPQP
 from repro.core.pqp import PQP
 from repro.classify.classifier import SlotClassifier
 from repro.limiters.token_bucket import TokenBucketPolicer
+from repro.net.impair import ImpairmentSpec
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import NullSink
 from repro.policy.tree import Policy
@@ -145,6 +147,76 @@ class TestWholeRunValidation:
         sim.run(until=1.0)
         limiter.stop()
         assert checker.checks > 0
+
+
+class TestCheckerCoverage:
+    """Every ACK a sender receives and every limiter arrival passes
+    through the checker exactly once: a packet path that reached a
+    sender's ACK body or a limiter's decision around the checked
+    ``receive`` entry points would make these counts disagree."""
+
+    @pytest.mark.parametrize("impair", [
+        None,
+        ImpairmentSpec(loss=0.01, ack_loss=0.01, corrupt=0.005,
+                       duplicate=0.01, jitter=0.002),
+    ], ids=["clean", "impaired"])
+    def test_one_check_per_ack_and_per_arrival(self, impair, monkeypatch):
+        calls = {"ack_body": 0, "sender": 0, "arrival": 0}
+        process_ack = TcpSender._process_ack
+
+        def counted_process_ack(sender, packet):
+            calls["ack_body"] += 1
+            process_ack(sender, packet)
+
+        monkeypatch.setattr(TcpSender, "_process_ack", counted_process_ack)
+        checker, sim = _checked_sim()
+        check_sender = checker._check_sender
+        check_limiter = checker._check_limiter
+
+        def counted_check_sender(sender):
+            calls["sender"] += 1
+            check_sender(sender)
+
+        def counted_check_limiter(limiter, state, flow):
+            if flow is not None:
+                calls["arrival"] += 1
+            check_limiter(limiter, state, flow)
+
+        checker._check_sender = counted_check_sender
+        checker._check_limiter = counted_check_limiter
+        config = AggregateConfig(
+            scheme="bcpqp",
+            specs=(FlowSpec(slot=0, cc="reno", rtt=ms(20)),
+                   FlowSpec(slot=1, cc="cubic", rtt=ms(50)),
+                   FlowSpec(slot=2, cc="bbr", rtt=ms(80))),
+            rate=mbps(5), max_rtt=ms(100), horizon=2.0, warmup=0.25,
+            seed=5, impair=impair,
+        )
+        limiter, scenario = build_scenario(config, sim)
+        scenario.run()
+        assert checker.violations == []
+
+        senders = checker._senders
+        assert not any(s.done for s in senders)  # no ACK skips the body
+        corrupt = sum(s.corrupt_acks_dropped for s in senders)
+        assert calls["ack_body"] > 500
+        assert calls["sender"] == calls["ack_body"] + corrupt
+        assert calls["arrival"] == limiter.stats.arrived_packets
+        if impair is None:
+            # Independent ledgers: ACKs the receivers emitted minus the
+            # ones still on the return pipes; data the senders sent
+            # minus the packets still on the forward pipes.
+            receivers = list(scenario.demux._sinks.values())
+            assert calls["sender"] == sum(
+                r.data_packets - r._ack_path.in_flight for r in receivers
+            )
+            assert calls["arrival"] == sum(
+                s.packets_sent - s._egress.in_flight for s in senders
+            )
+        else:
+            assert corrupt > 0
+        checker.finalize(traces=(scenario.trace,))
+        assert checker.violations == []
 
 
 class TestZeroPerturbation:

@@ -8,8 +8,12 @@ validate"`` is implied by selecting none), selected in CI with
     python -m repro.validate --fuzz 200 --seed 1
 """
 
+import json
+
 import pytest
 
+from repro.sim.simulator import SimulationError
+from repro.validate.__main__ import main
 from repro.validate.fuzz import (
     BASELINES,
     FuzzCase,
@@ -21,7 +25,7 @@ from repro.validate.fuzz import (
 pytestmark = pytest.mark.validate
 
 #: Small fixed budget: a few cases through all 9 engine combinations
-#: (3 services x 2 phantom schemes + 2 opposite-batch re-runs + 1
+#: (3 services x 2 phantom schemes + 2 opposite-drain-limit re-runs + 1
 #: baseline scheme), plus the sharded-fleet diff tier on cases that
 #: draw ``shards > 1``.
 SMOKE_CASES = 6
@@ -68,8 +72,6 @@ class TestFuzzSmoke:
         # key; they must keep meaning the single-process engine.
         case = generate_case(SMOKE_SEED, 4)
         payload = case.to_json()
-        import json
-
         stripped = json.dumps(
             {k: v for k, v in json.loads(payload).items() if k != "shards"}
         )
@@ -81,12 +83,20 @@ class TestFuzzSmoke:
         assert any(s > 1 for s in drawn)
 
     def test_batch_limits_are_drawn(self):
-        # The corpus must exercise both engine endpoints (1 = per-packet,
-        # None = unbounded) plus capped batch sizes.
+        # The corpus must exercise both drain-limit endpoints (1 = every
+        # packet its own heap event, None = unbounded) plus caps.
         drawn = {generate_case(SMOKE_SEED, i).batch for i in range(24)}
         assert 1 in drawn
         assert None in drawn
         assert any(b is not None and b > 1 for b in drawn)
+
+    def test_case_json_with_malformed_drain_limit_is_rejected(self):
+        # A non-integer limit used to be accepted and silently meant
+        # unbounded; a repro line carrying one must fail loudly instead.
+        payload = json.loads(generate_case(SMOKE_SEED, 0).to_json())
+        payload["batch"] = 2.5
+        with pytest.raises(SimulationError, match=r"2\.5"):
+            main(["--case", json.dumps(payload), "--no-shrink"])
 
     def test_baselines_rotate(self):
         drawn = {generate_case(SMOKE_SEED, i).baseline
